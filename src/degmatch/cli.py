@@ -96,6 +96,19 @@ def _line_of(chunks, position: int | None) -> int:
     return chunks[0][0] if chunks else 0
 
 
+def _parse_record(rid, chunks, parse) -> DegenerateString:
+    """Parse the concatenated ``chunks`` of one record; a failure in a named
+    record is re-raised with the record id and source line attached."""
+    raw = "".join(chunk for _, chunk in chunks)
+    try:
+        return parse(raw)
+    except ParseError as err:
+        if rid is None:
+            raise
+        line = _line_of(chunks, err.position)
+        raise type(err)(f"record {rid!r}, line {line}: {err}", err.position) from err
+
+
 def ingest_fasta(contents: str, parse) -> list[tuple[str, DegenerateString]]:
     """Parse FASTA ``contents`` into (record id, sequence) pairs.
 
@@ -105,14 +118,9 @@ def ingest_fasta(contents: str, parse) -> list[tuple[str, DegenerateString]]:
     """
     out = []
     for rid, chunks in _split_fasta(contents):
-        raw = "".join(chunk for _, chunk in chunks)
-        if not raw:
+        if not chunks:
             warnings.warn(f"FASTA record {rid!r} has an empty sequence", stacklevel=2)
-        try:
-            out.append((rid, parse(raw)))
-        except ParseError as err:
-            line = _line_of(chunks, err.position)
-            raise type(err)(f"record {rid!r}, line {line}: {err}", err.position) from err
+        out.append((rid, _parse_record(rid, chunks, parse)))
     return out
 
 
@@ -132,8 +140,9 @@ def _collect_chars(raw: str, syntax: str) -> set:
 def _infer_alphabet(pattern_raw: str, pattern_syntax: str, records, text_syntax: str) -> Alphabet:
     """Lowercase union of every character appearing in the inputs."""
     chars = _collect_chars(pattern_raw, pattern_syntax)
-    for _, raw in records:
-        chars |= _collect_chars(raw, text_syntax)
+    for _, chunks in records:
+        for _, chunk in chunks:
+            chars |= _collect_chars(chunk, text_syntax)
     folded = sorted({c.lower() for c in chars})
     if not folded:
         raise ParseError("cannot infer an alphabet from empty input")
@@ -148,22 +157,21 @@ def _make_parser(syntax: str, alphabet: Alphabet):
     return lambda raw: parse_solid(raw, alphabet)
 
 
-def _load_text_records(config: RunConfig, stdin) -> list[tuple[str | None, str]]:
-    """Raw records as (id, sequence text); id None for a single anonymous
-    source. FASTA framing is detected by a leading '>'."""
+def _load_text_records(config: RunConfig, stdin) -> list[tuple[str | None, list]]:
+    """Raw records as (id, [(line number, chunk)]); one anonymous record
+    with id None and no line number for a plain source. FASTA framing is
+    detected by a leading '>'. Records are joined and parsed one at a time
+    by ``_parse_record``."""
     if config.text is not None:
-        joined = "".join(config.text.split())
-        if not joined:
-            raise EmptyFile("text input is empty")
-        return [(None, joined)]
-    contents = _read(config.text_file) if config.text_file is not None else stdin.read()
-    if contents.lstrip().startswith(">"):
-        return [(rid, raw) for rid, chunks in _split_fasta(contents)
-                for raw in ["".join(chunk for _, chunk in chunks)]]
+        contents = config.text
+    else:
+        contents = _read(config.text_file) if config.text_file is not None else stdin.read()
+        if contents.lstrip().startswith(">"):
+            return _split_fasta(contents)
     joined = "".join(contents.split())
     if not joined:
         raise EmptyFile("text input is empty")
-    return [(None, joined)]
+    return [(None, [(None, joined)])]
 
 
 def _emit(record_id, report, pattern_length, fmt, diagnostics, out) -> None:
@@ -215,15 +223,10 @@ def run(config: RunConfig, out=None, err=None, stdin=None) -> int:
     parse_text = _make_parser(config.text_syntax, alphabet)
 
     found = False
-    for rid, raw in records:
-        if not raw:
+    for rid, chunks in records:
+        if not chunks:
             err.write(f"degmatch: warning: record {rid!r} has an empty sequence\n")
-        try:
-            text = parse_text(raw)
-        except ParseError as e:
-            if rid is not None:
-                raise type(e)(f"record {rid!r}: {e}", e.position) from e
-            raise
+        text = _parse_record(rid, chunks, parse_text)
         report = find_occurrences(pattern, text, diagnostics=config.diagnostics)
         if config.self_check:
             expected = naive_match(pattern, text)

@@ -9,7 +9,10 @@ original symbol sets and keeps the alignments where all of them are fake.
 
 A degenerate text is handled the same way: its non-solid symbols get
 their own placeholder ranks, and mismatch verdicts intersect both
-original sets.
+original sets. An occurrence can only mismatch where the pattern or its
+own text window holds a placeholder, so alignment i gets the budget
+b_i = min(m, k_pattern + t_i), where t_i counts the text placeholders
+inside window i. On a solid text every b_i is k_pattern.
 """
 
 from dataclasses import dataclass
@@ -46,13 +49,15 @@ class SubstitutedString:
     def k(self) -> int:
         return len(self.placeholder_positions)
 
-    def symbol_masks(self) -> list:
-        """Per-position set masks: original set at placeholders, singleton
-        elsewhere."""
-        masks = [1 << int(r) for r in self.ranks]
-        for pos, sym in zip(self.placeholder_positions, self.original_sets):
-            masks[pos - 1] = sym.mask
-        return masks
+    def mask_at(self, pos: int) -> int:
+        """Set mask at 1-based ``pos``: the original set at a placeholder,
+        the singleton of the base rank elsewhere. Placeholder ranks are
+        consecutive, so the rank itself indexes ``original_sets``."""
+        rank = int(self.ranks[pos - 1])
+        if rank < len(self.alphabet):
+            return 1 << rank
+        first = int(self.ranks[self.placeholder_positions[0] - 1])
+        return self.original_sets[rank - first].mask
 
 
 def substitute(s: DegenerateString, first_placeholder_rank: int | None = None) -> SubstitutedString:
@@ -91,12 +96,15 @@ def precompute_membership(sub: SubstitutedString) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MismatchTable:
-    """First ``budget + 1`` mismatch positions per alignment.
+    """First ``b_i + 1`` mismatch positions per alignment i.
 
     ``entries[i, j-1]`` is the 1-based pattern position of the j-th
     mismatch between the text window at alignment i and the substituted
     pattern, or the sentinel m+1 once the window has matched through the
-    end of the pattern.
+    end of the pattern. ``budget`` is the largest per-alignment budget,
+    so the table is ``budget + 1`` columns wide. Columns past an
+    alignment's own budget b_i were never searched and hold the sentinel;
+    alignment i is approximate iff ``entries[i, b_i]`` is the sentinel.
     """
 
     entries: np.ndarray  # shape (n - m + 1, budget + 1)
@@ -132,14 +140,19 @@ def kangaroo_search(
 ) -> tuple[MismatchTable, tuple[int, ...]]:
     """Scan all alignments, jumping past each mismatch with one LCE query.
 
-    ``index`` must be built over text + substituted pattern + separator.
-    An alignment is an approximate occurrence when its (budget+1)-th entry
-    is the sentinel m+1, i.e. the window matched the whole pattern with at
-    most ``budget`` mismatches. O(budget * n) total given O(1) LCE.
+    ``index`` must be built over text + substituted pattern + separator,
+    with text placeholder ranks >= len(alphabet) and distinct from the
+    pattern's. Alignment i makes at most b_i + 1 jumps and is an
+    approximate occurrence when one of them reaches the sentinel m+1,
+    i.e. the window matched the whole pattern with at most b_i
+    mismatches. By default b_i = min(m, sub.k + t_i), where t_i counts
+    the text placeholders inside window i; an explicit ``budget`` applies
+    min(m, budget) to every alignment. Sum of (b_i + 1) queries in total,
+    at most (k_total + 1)(n - m + 1), each O(1).
     """
     m = len(sub)
     n = len(text_ranks)
-    k = sub.k if budget is None else budget
+    k = min(m, sub.k if budget is None else budget)
     if m > n:
         table = MismatchTable(
             entries=np.empty((0, k + 1), dtype=np.int32), m=m, budget=k, query_count=0
@@ -148,6 +161,15 @@ def kangaroo_search(
 
     sentinel = m + 1
     count = n - m + 1
+    sigma = len(sub.alphabet)
+    budgets = None  # None: every alignment has the scalar budget k
+    if budget is None and n and text_ranks.max() >= sigma:
+        placeholders = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(text_ranks >= sigma, out=placeholders[1:])
+        in_window = placeholders[m:] - placeholders[:count]
+        budgets = np.minimum(in_window, m - sub.k) + sub.k
+        k = int(budgets.max())
+
     entries = np.full((count, k + 1), sentinel, dtype=np.int32)
     f = np.zeros(count, dtype=np.int64)
     active = np.arange(count, dtype=np.int64)
@@ -162,9 +184,16 @@ def kangaroo_search(
         mm = fa + q + 1
         entries[active, j] = mm
         f[active] = mm
-        active = active[mm != sentinel]
+        if budgets is None:
+            active = active[mm != sentinel]
+        else:
+            active = active[(mm != sentinel) & (budgets[active] > j)]
 
-    approx = np.flatnonzero(entries[:, k] == sentinel)
+    if budgets is None:
+        last = entries[:, k]
+    else:
+        last = np.take_along_axis(entries, budgets[:, None], axis=1)[:, 0]
+    approx = np.flatnonzero(last == sentinel)
     table = MismatchTable(entries=entries, m=m, budget=k, query_count=queries)
     return table, tuple(int(i) for i in approx)
 
@@ -222,9 +251,8 @@ def _filter_general(
 ) -> MatchReport:
     """Stage 3 for a degenerate text: every recorded mismatch (placeholder
     or solid-vs-solid within budget) is verdict-checked by intersecting
-    the original symbol sets on both sides."""
-    pattern_masks = sub_pattern.symbol_masks()
-    text_masks = sub_text.symbol_masks()
+    the original symbol sets on both sides, looked up only at the
+    recorded positions."""
     sentinel = table.sentinel
 
     exact = []
@@ -237,7 +265,7 @@ def _filter_general(
             e = int(e)
             if e == sentinel:
                 break
-            fake = pattern_masks[e - 1] & text_masks[i + e - 1] != 0
+            fake = sub_pattern.mask_at(e) & sub_text.mask_at(i + e) != 0
             if diagnostics:
                 occurrence_verdicts.append(FAKE if fake else REAL)
             if not fake:
@@ -264,8 +292,10 @@ def find_occurrences(
     """Find all 1-based positions where ``pattern`` occurs in ``text``.
 
     Runs the full substitute / LCE-jump / filter pipeline; a pattern
-    longer than the text yields an empty report. O(k * n) after index
-    construction, where k counts non-solid symbols across both inputs.
+    longer than the text yields an empty report. After index construction
+    the search makes sum_i (b_i + 1) LCE queries, where
+    b_i = min(m, k_pattern + text placeholders in window i): O(k_pattern * n)
+    on a solid text and at most O(k_total * n) on a degenerate one.
     """
     if len(pattern) == 0:
         raise EmptyPattern("pattern must contain at least one symbol")
@@ -285,7 +315,7 @@ def find_occurrences(
         [sub_t.ranks, sub_p.ranks, np.asarray([separator], dtype=np.int32)]
     )
     index = LceIndex(seq, separator=separator)
-    table, approx = kangaroo_search(sub_p, sub_t.ranks, index, budget=k_total)
+    table, approx = kangaroo_search(sub_p, sub_t.ranks, index)
 
     if sub_t.k == 0:
         membership = precompute_membership(sub_p)

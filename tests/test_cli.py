@@ -117,6 +117,14 @@ class TestFasta:
                 ">bad\nACGT\nAXGT\n", lambda raw: parse_solid(raw, DNA_ALPHABET)
             )
 
+    def test_cli_parse_error_carries_record_and_line(self, tmp_path, capsys):
+        f = tmp_path / "f.fa"
+        f.write_text(">r1\n" + "ACGTACGTACGTACGT\n" * 2 + "ACGXACGT\n>r2\nACGT\n")
+        assert main(["-p", "ACG", "--pattern-syntax", "iupac", "--text-syntax", "iupac",
+                     "--text-file", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert "record 'r1', line 4: unknown IUPAC code 'X'" in err
+
     def test_multi_record_matching_preserves_order(self, tmp_path, capsys):
         f = tmp_path / "t.fa"
         f.write_text(">seq2\nAAAA\n>seq1\nDACDABDADCABDAC\n")

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import degmatch.matcher as matcher
 from degmatch import (
     Alphabet,
     DegenerateString,
@@ -18,6 +19,7 @@ from degmatch import (
     kangaroo_search,
     naive_match,
     parse_bracket,
+    parse_iupac,
     parse_solid,
     precompute_membership,
     substitute,
@@ -32,16 +34,72 @@ GOLDEN_TABLE = [
 ]
 
 
-def pipeline(pattern, text):
-    """Run the stages by hand so intermediates can be inspected."""
+def stages(pattern, text):
+    """Stage 1 and the LCE index, built as find_occurrences builds them."""
     sigma = len(pattern.alphabet)
     sub_p = substitute(pattern)
     sub_t = substitute(text, first_placeholder_rank=sigma + sub_p.k)
     separator = sigma + sub_p.k + sub_t.k
     seq = np.concatenate([sub_t.ranks, sub_p.ranks, np.asarray([separator], dtype=np.int32)])
-    index = LceIndex(seq, separator=separator)
+    return sub_p, sub_t, LceIndex(seq, separator=separator)
+
+
+def pipeline(pattern, text):
+    """Run the stages by hand, with the k_total budget for every
+    alignment, so intermediates can be inspected."""
+    sub_p, sub_t, index = stages(pattern, text)
     table, approx = kangaroo_search(sub_p, sub_t.ranks, index, budget=sub_p.k + sub_t.k)
     return sub_p, sub_t, table, approx
+
+
+def window_budgets(pattern, text):
+    """b_i = min(m, k_pattern + non-solid text symbols in window i), counted
+    from the parsed symbols."""
+    m, k_p = len(pattern), len(pattern.non_solid_positions)
+    return [
+        min(m, k_p + sum(1 for p in text.non_solid_positions if i < p <= i + m))
+        for i in range(len(text) - m + 1)
+    ]
+
+
+def _runs_of_n(rng, n, m):
+    """Random DNA with two N runs longer than m and a few ambiguity codes."""
+    text = [rng.choice("ACGT") for _ in range(n)]
+    for start in (rng.randrange(0, n // 2 - m - 3), rng.randrange(n // 2, n - m - 3)):
+        text[start : start + m + 3] = "N" * (m + 3)
+    for p in rng.sample(range(n), 3):
+        text[p] = rng.choice("RYSWKM")
+    return "".join(text)
+
+
+# Adversarial degenerate-text families: (pattern, text, parser) per seed.
+ADVERSARIAL = {
+    "all-n-text": lambda rng: (
+        "".join(rng.choice("ACGTRN") for _ in range(rng.randint(1, 6))),
+        "N" * rng.randint(6, 30),
+        parse_iupac,
+    ),
+    "n-runs-longer-than-m": lambda rng: (
+        "".join(rng.choice("ACGTACGTRY") for _ in range(5)),
+        _runs_of_n(rng, 80, 5),
+        parse_iupac,
+    ),
+    "m-equals-n": lambda rng: (
+        "".join(rng.choice("ACGTN") for _ in range(7)),
+        "".join(rng.choice("ACGTRYN") for _ in range(7)),
+        parse_iupac,
+    ),
+    "sigma-1": lambda rng: (
+        "a" * rng.randint(1, 4),
+        "a" * rng.randint(4, 12),
+        lambda raw: parse_solid(raw, Alphabet("a")),
+    ),
+    "budget-clamped-at-m": lambda rng: (
+        "N" * rng.randint(2, 4) + rng.choice("ACGT"),
+        "ACGT" + "N" * rng.randint(6, 12) + "".join(rng.choice("ACGT") for _ in range(6)),
+        parse_iupac,
+    ),
+}
 
 
 class TestSubstitute:
@@ -116,6 +174,70 @@ class TestKangarooSearch:
     def test_query_count_exact_for_solid_text(self, golden_pattern, golden_text):
         _, _, table, _ = pipeline(golden_pattern, golden_text)
         assert table.query_count == 3 * 11
+
+    def test_default_budget_counts_text_placeholders_in_window(self, abcd):
+        # the window "a[bc]" mismatches at its text placeholder, so a budget
+        # of k_pattern = 0 alone would miss the occurrence
+        pattern, text = parse_solid("ab", abcd), parse_bracket("a[bc]", abcd)
+        sub_p, sub_t, index = stages(pattern, text)
+        table, approx = kangaroo_search(sub_p, sub_t.ranks, index)
+        assert approx == (0,)
+        assert table.budget == 1
+        assert find_occurrences(pattern, text).exact_occurrences == (1,)
+
+    def test_explicit_budget_clamped_at_m(self, abcd):
+        pattern, text = parse_solid("ab", abcd), parse_solid("abab", abcd)
+        sub_p, sub_t, index = stages(pattern, text)
+        table, approx = kangaroo_search(sub_p, sub_t.ranks, index, budget=10)
+        assert table.budget == 2 and table.entries.shape == (3, 3)
+        assert approx == (0, 1, 2)
+
+    @pytest.mark.parametrize("family", sorted(ADVERSARIAL))
+    def test_adversarial_degenerate_text(self, family):
+        rng = random.Random(family)
+        for _ in range(25):
+            raw_pattern, raw_text, parse = ADVERSARIAL[family](rng)
+            pattern, text = parse(raw_pattern), parse(raw_text)
+            sub_p, sub_t, index = stages(pattern, text)
+            table, approx = kangaroo_search(sub_p, sub_t.ranks, index)
+            expected = naive_match(pattern, text)
+            assert set(p - 1 for p in expected) <= set(approx), (raw_pattern, raw_text)
+            budgets = window_budgets(pattern, text)
+            assert table.query_count <= sum(b + 1 for b in budgets)
+            assert table.entries.shape[1] == max(budgets) + 1
+            report = find_occurrences(pattern, text)
+            assert list(report.exact_occurrences) == expected, (raw_pattern, raw_text)
+            assert report.lce_queries == table.query_count
+
+    def test_table_width_bounded_by_placeholders_per_window(self, monkeypatch):
+        # n = 20,000 with 1,000 scattered N's: a k_total budget would make
+        # the table 1,001 columns wide
+        n, m, gaps = 20_000, 64, 1_000
+        rng = np.random.default_rng(20_000)
+        bases = np.array(list("ACGT"))[rng.integers(0, 4, n)]
+        raw_pattern = "".join(bases[5_000 : 5_000 + m])
+        bases[rng.choice(np.setdiff1d(np.arange(n), np.arange(5_000, 5_000 + m)),
+                         gaps, replace=False)] = "N"
+        pattern, text = parse_iupac(raw_pattern), parse_iupac("".join(bases))
+
+        searches = []
+
+        def recording_search(*args, **kwargs):
+            searches.append(kangaroo_search(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(matcher, "kangaroo_search", recording_search)
+        report = find_occurrences(pattern, text)
+        [(table, approx)] = searches
+
+        in_window = np.convolve(bases == "N", np.ones(m, dtype=np.int64), mode="valid")
+        width = min(m, len(pattern.non_solid_positions) + int(in_window.max())) + 1
+        assert len(text.non_solid_positions) == gaps
+        assert table.entries.shape == (n - m + 1, table.budget + 1)
+        assert table.budget + 1 <= width
+        assert table.entries.nbytes <= (n - m + 1) * width * 4
+        assert 5_000 in approx
+        assert 5_001 in report.exact_occurrences
 
 
 class TestFilter:
