@@ -26,19 +26,7 @@ from .core import (
     parse_solid,
     symbols_match,
 )
-from .lce import LceIndex, MissingSeparator, SeparatorNotUnique
-from .matcher import (
-    FAKE,
-    REAL,
-    MatchReport,
-    MismatchTable,
-    SubstitutedString,
-    filter_occurrences,
-    find_occurrences,
-    kangaroo_search,
-    precompute_membership,
-    substitute,
-)
+from .matcher import FAKE, REAL, MatchReport, find_occurrences
 from .oracle import RandomInstanceSpec, generate_instance, naive_match
 
 __version__ = "0.1.0"
@@ -52,29 +40,20 @@ __all__ = [
     "EmptyPattern",
     "FAKE",
     "IUPAC_CODES",
-    "LceIndex",
     "MatchReport",
-    "MismatchTable",
-    "MissingSeparator",
     "OutOfRange",
     "ParseError",
     "REAL",
     "RandomInstanceSpec",
-    "SeparatorNotUnique",
-    "SubstitutedString",
     "UnclosedBracket",
     "UnknownCharacter",
     "UnknownCode",
-    "filter_occurrences",
     "find_occurrences",
     "format_bracket",
     "generate_instance",
-    "kangaroo_search",
     "naive_match",
     "parse_bracket",
     "parse_iupac",
     "parse_solid",
-    "precompute_membership",
-    "substitute",
     "symbols_match",
 ]

@@ -1,18 +1,18 @@
 """Scaling measurements for the search pipeline.
 
-Each grid cell times index construction and search+filter separately on
-one fixed-seed instance, and asserts the machine-independent guarantee
-that search issued at most (k+1)(n-m+1) LCE queries.
+Each grid cell times the two halves of ``find_occurrences`` on one
+fixed-seed instance: ``build_ms`` is stage 1 plus the LCE index
+(``matcher.prepare``), and ``search_ms`` is stages 2-3 exactly as
+``find_occurrences`` runs them (``matcher.search``). Every cell asserts
+the machine-independent guarantee that search issued at most
+(k+1)(n-m+1) LCE queries.
 """
 
 import statistics
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .lce import LceIndex
-from .matcher import filter_occurrences, kangaroo_search, precompute_membership, substitute
+from .matcher import prepare, search
 from .oracle import RandomInstanceSpec, generate_instance
 
 
@@ -124,12 +124,6 @@ def _time_cell(n: int, k: int, grid: GridSpec) -> BenchCell:
         max_set_size=2, seed=grid.base_seed + 8191 * n + k,
     )
     pattern, text = generate_instance(spec)
-    sigma = grid.sigma
-    sub_p = substitute(pattern)
-    sub_t = substitute(text, first_placeholder_rank=sigma + sub_p.k)
-    separator = sigma + sub_p.k
-    seq = np.concatenate([sub_t.ranks, sub_p.ranks, np.asarray([separator], dtype=np.int32)])
-    membership = precompute_membership(sub_p)
     bound = (k + 1) * (n - grid.m + 1)
 
     build_times = []
@@ -137,12 +131,9 @@ def _time_cell(n: int, k: int, grid: GridSpec) -> BenchCell:
     queries = occurrences = 0
     for _ in range(grid.reps):
         t0 = time.perf_counter()
-        index = LceIndex(seq, separator=separator)
+        stages = prepare(pattern, text)
         t1 = time.perf_counter()
-        table, approx = kangaroo_search(sub_p, sub_t.ranks, index, budget=k)
-        report = filter_occurrences(
-            sub_p, sub_t.ranks, approx, membership, lce_queries=table.query_count
-        )
+        report = search(*stages)
         t2 = time.perf_counter()
         build_times.append(t1 - t0)
         search_times.append(t2 - t1)

@@ -255,7 +255,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=["positions", "tsv", "json-lines"],
                    default="positions")
     p.add_argument("--diagnostics", action="store_true",
-                   help="include per-placeholder match verdicts in tsv/json output")
+                   help="include match verdicts in tsv/json output: one per pattern "
+                        "placeholder on a solid text, one per recorded mismatch (text "
+                        "placeholders and solid mismatches within budget) on a "
+                        "degenerate text")
     p.add_argument("--self-check", action="store_true",
                    help="cross-check results against the brute-force matcher")
     p.add_argument("--bench", metavar="SPEC",

@@ -154,24 +154,6 @@ class LceIndex:
                 table[d] = table[d - 1]
         self._block_table = table
 
-    def _range_min(self, lo: int, hi: int) -> int:
-        """Minimum of lcp[lo..hi], 0 <= lo <= hi < length."""
-        span = hi - lo + 1
-        if span <= _BLOCK:
-            d = span.bit_length() - 1
-            return int(min(self._short[d, lo], self._short[d, hi - (1 << d) + 1]))
-        out = min(int(self._suffix_min[lo]), int(self._prefix_min[hi]))
-        bl = (lo >> _BLOCK_BITS) + 1
-        bh = (hi >> _BLOCK_BITS) - 1
-        if bl <= bh:
-            d = (bh - bl + 1).bit_length() - 1
-            out = min(
-                out,
-                int(self._block_table[d, bl]),
-                int(self._block_table[d, bh - (1 << d) + 1]),
-            )
-        return out
-
     def _check(self, off: int) -> None:
         if not 0 <= off < self.length:
             raise OutOfRange(f"offset {off} outside 0..{self.length - 1}")
@@ -181,13 +163,7 @@ class LceIndex:
         ``i`` and ``j`` (0-based). O(1)."""
         self._check(i)
         self._check(j)
-        if i == j:
-            return self.length - i
-        ra = int(self.rank[i])
-        rb = int(self.rank[j])
-        if ra > rb:
-            ra, rb = rb, ra
-        return self._range_min(ra + 1, rb)
+        return int(self.lce_many(np.asarray([i]), np.asarray([j]))[0])
 
     def lce_many(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Vectorized ``lce`` over parallel offset arrays."""

@@ -13,6 +13,10 @@ original sets. An occurrence can only mismatch where the pattern or its
 own text window holds a placeholder, so alignment i gets the budget
 b_i = min(m, k_pattern + t_i), where t_i counts the text placeholders
 inside window i. On a solid text every b_i is k_pattern.
+
+Three entry points run the stages: ``prepare`` does stage 1 and builds
+the LCE index, ``search`` runs stages 2 and 3 on what ``prepare``
+returns, and ``find_occurrences`` checks its inputs and chains the two.
 """
 
 from dataclasses import dataclass
@@ -136,34 +140,27 @@ def kangaroo_search(
     sub: SubstitutedString,
     text_ranks: np.ndarray,
     index: LceIndex,
-    budget: int | None = None,
 ) -> tuple[MismatchTable, tuple[int, ...]]:
     """Scan all alignments, jumping past each mismatch with one LCE query.
 
-    ``index`` must be built over text + substituted pattern + separator,
-    with text placeholder ranks >= len(alphabet) and distinct from the
-    pattern's. Alignment i makes at most b_i + 1 jumps and is an
-    approximate occurrence when one of them reaches the sentinel m+1,
-    i.e. the window matched the whole pattern with at most b_i
-    mismatches. By default b_i = min(m, sub.k + t_i), where t_i counts
-    the text placeholders inside window i; an explicit ``budget`` applies
-    min(m, budget) to every alignment. Sum of (b_i + 1) queries in total,
-    at most (k_total + 1)(n - m + 1), each O(1).
+    ``sub``, ``text_ranks`` and ``index`` come from ``prepare``: the index
+    is built over text + substituted pattern + separator, with text
+    placeholder ranks >= len(alphabet) and distinct from the pattern's,
+    and the pattern is no longer than the text. Alignment i makes at most
+    b_i + 1 jumps and is an approximate occurrence when one of them
+    reaches the sentinel m+1, i.e. the window matched the whole pattern
+    with at most b_i mismatches. b_i = min(m, sub.k + t_i), where t_i
+    counts the text placeholders inside window i. Sum of (b_i + 1)
+    queries in total, at most (k_total + 1)(n - m + 1), each O(1).
     """
     m = len(sub)
     n = len(text_ranks)
-    k = min(m, sub.k if budget is None else budget)
-    if m > n:
-        table = MismatchTable(
-            entries=np.empty((0, k + 1), dtype=np.int32), m=m, budget=k, query_count=0
-        )
-        return table, ()
-
+    k = sub.k
     sentinel = m + 1
     count = n - m + 1
     sigma = len(sub.alphabet)
     budgets = None  # None: every alignment has the scalar budget k
-    if budget is None and n and text_ranks.max() >= sigma:
+    if text_ranks.max() >= sigma:
         placeholders = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(text_ranks >= sigma, out=placeholders[1:])
         in_window = placeholders[m:] - placeholders[:count]
@@ -202,7 +199,15 @@ def kangaroo_search(
 class MatchReport:
     """Occurrence report: exact positions (1-based), the approximate
     alignments they were filtered from (0-based), per-alignment verdicts
-    when diagnostics were requested, and the LCE query count."""
+    when diagnostics were requested, and the LCE query count.
+
+    ``verdicts[j]`` belongs to ``approximate_occurrences[j]``. On a solid
+    text it holds one verdict per pattern placeholder, in pattern order.
+    On a degenerate text it holds one verdict per recorded mismatch, in
+    pattern order: text placeholders, and solid mismatches within the
+    alignment's budget. So ``a[bc]d`` at position 1 of ``[ab]bdacd``
+    gives ``(fake, fake)``, and of the solid ``abdacd`` gives ``(fake,)``.
+    """
 
     exact_occurrences: tuple[int, ...]
     approximate_occurrences: tuple[int, ...]
@@ -284,6 +289,49 @@ def _filter_general(
     )
 
 
+def prepare(
+    pattern: DegenerateString, text: DegenerateString
+) -> tuple[SubstitutedString, SubstitutedString, LceIndex]:
+    """Stage 1 and the LCE index: the substituted pattern, the substituted
+    text and an index over text + pattern + separator.
+
+    Pattern placeholders take ranks sigma .. sigma + k_p - 1, text
+    placeholders the next k_t ranks, and the separator sigma + k_total,
+    so every placeholder mismatches every other symbol and the separator
+    is unique.
+    """
+    sigma = len(pattern.alphabet)
+    sub_p = substitute(pattern)
+    sub_t = substitute(text, first_placeholder_rank=sigma + sub_p.k)
+    separator = sigma + sub_p.k + sub_t.k
+    seq = np.concatenate(
+        [sub_t.ranks, sub_p.ranks, np.asarray([separator], dtype=np.int32)]
+    )
+    return sub_p, sub_t, LceIndex(seq, separator=separator)
+
+
+def search(
+    sub_p: SubstitutedString,
+    sub_t: SubstitutedString,
+    index: LceIndex,
+    diagnostics: bool = False,
+) -> MatchReport:
+    """Stages 2 and 3 on the output of ``prepare``, for a pattern no
+    longer than the text: kangaroo jumps, then the solid-text filter or,
+    when the text has placeholders, the general one."""
+    table, approx = kangaroo_search(sub_p, sub_t.ranks, index)
+    if sub_t.k == 0:
+        membership = precompute_membership(sub_p)
+        return filter_occurrences(
+            sub_p, sub_t.ranks, approx, membership,
+            diagnostics=diagnostics, lce_queries=table.query_count,
+        )
+    return _filter_general(
+        sub_p, sub_t, table, approx,
+        diagnostics=diagnostics, lce_queries=table.query_count,
+    )
+
+
 def find_occurrences(
     pattern: DegenerateString,
     text: DegenerateString,
@@ -301,29 +349,6 @@ def find_occurrences(
         raise EmptyPattern("pattern must contain at least one symbol")
     if pattern.alphabet != text.alphabet:
         raise ValueError("pattern and text are over different alphabets")
-
-    sigma = len(pattern.alphabet)
-    sub_p = substitute(pattern)
-    sub_t = substitute(text, first_placeholder_rank=sigma + sub_p.k)
-    k_total = sub_p.k + sub_t.k
-    m, n = len(sub_p), len(sub_t)
-    if m > n:
+    if len(pattern) > len(text):
         return MatchReport((), (), () if diagnostics else None, 0)
-
-    separator = sigma + k_total
-    seq = np.concatenate(
-        [sub_t.ranks, sub_p.ranks, np.asarray([separator], dtype=np.int32)]
-    )
-    index = LceIndex(seq, separator=separator)
-    table, approx = kangaroo_search(sub_p, sub_t.ranks, index)
-
-    if sub_t.k == 0:
-        membership = precompute_membership(sub_p)
-        return filter_occurrences(
-            sub_p, sub_t.ranks, approx, membership,
-            diagnostics=diagnostics, lce_queries=table.query_count,
-        )
-    return _filter_general(
-        sub_p, sub_t, table, approx,
-        diagnostics=diagnostics, lce_queries=table.query_count,
-    )
+    return search(*prepare(pattern, text), diagnostics=diagnostics)

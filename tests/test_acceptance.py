@@ -10,27 +10,23 @@ import random
 import time
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from degmatch import (
     Alphabet,
     DegenerateSymbol,
     FAKE,
-    LceIndex,
     REAL,
     find_occurrences,
     format_bracket,
-    kangaroo_search,
     naive_match,
     parse_bracket,
     parse_solid,
-    precompute_membership,
-    substitute,
     symbols_match,
 )
 from degmatch.bench import GridSpec, run_scaling
 from degmatch.cli import main as cli_main
+from degmatch.matcher import kangaroo_search, prepare
 from degmatch.oracle import GENERATOR_NAME, RandomInstanceSpec, generate_instance, shrink
 
 GOLDEN_PATTERN = "a[bc]da[bd]"
@@ -52,12 +48,7 @@ def golden_inputs():
 
 
 def golden_stage2():
-    pattern, text = golden_inputs()
-    sub_p = substitute(pattern)
-    sub_t = substitute(text, first_placeholder_rank=4 + sub_p.k)
-    separator = 4 + sub_p.k
-    seq = np.concatenate([sub_t.ranks, sub_p.ranks, np.asarray([separator], dtype=np.int32)])
-    index = LceIndex(seq, separator=separator)
+    sub_p, sub_t, index = prepare(*golden_inputs())
     return sub_p, sub_t, kangaroo_search(sub_p, sub_t.ranks, index)
 
 
@@ -253,14 +244,8 @@ def test_criterion_7_invariant_suite(capsys, tmp_path):
             k_pattern=rng.randint(0, min(4, m)), k_text=0, max_set_size=2,
             seed=trial,
         )
-        pattern, text = generate_instance(spec)
-        sub_p = substitute(pattern)
-        sub_t = substitute(text, first_placeholder_rank=spec.sigma + sub_p.k)
-        separator = spec.sigma + sub_p.k
-        seq = np.concatenate(
-            [sub_t.ranks, sub_p.ranks, np.asarray([separator], dtype=np.int32)]
-        )
-        table, approx = kangaroo_search(sub_p, sub_t.ranks, LceIndex(seq, separator=separator))
+        sub_p, sub_t, index = prepare(*generate_instance(spec))
+        table, approx = kangaroo_search(sub_p, sub_t.ranks, index)
         placeholder_set = set(sub_p.placeholder_positions)
         for i in approx:
             entries = {e for e in table.column(i) if e != table.sentinel}

@@ -1,5 +1,7 @@
 import pytest
 
+import degmatch.bench as bench
+import degmatch.matcher as matcher
 from degmatch.bench import GridSpec, parse_grid, run_scaling
 
 
@@ -55,6 +57,22 @@ class TestRunScaling:
         row = lines[1].split("\t")
         assert len(header) == len(row) == 10
         assert header[0] == "n" and row[0] == "128"
+
+    def test_times_the_production_stages(self, monkeypatch):
+        assert bench.prepare is matcher.prepare and bench.search is matcher.search
+        calls = {"prepare": 0, "search": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bench, "prepare", counted("prepare", matcher.prepare))
+        monkeypatch.setattr(bench, "search", counted("search", matcher.search))
+        grid = GridSpec(n_values=(128, 256), k_values=(1, 2, 3), m=16, reps=6)
+        run_scaling(grid)
+        assert calls == {"prepare": 6 * 6, "search": 6 * 6}
 
     def test_cell_lookup_missing(self):
         grid = GridSpec(n_values=(128,), k_values=(1,), m=16, reps=5)

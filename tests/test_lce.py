@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degmatch import LceIndex, MissingSeparator, OutOfRange, SeparatorNotUnique
+from degmatch import OutOfRange
+from degmatch.lce import LceIndex, MissingSeparator, SeparatorNotUnique
 
 
 def naive_lce(seq, i, j):

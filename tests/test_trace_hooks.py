@@ -1,0 +1,68 @@
+"""The benchmark's traced run (``benchmark/run.py --trace 1``) wraps
+degmatch's layer entry points by attribute name, so renaming or bypassing
+one breaks it. These tests run one traced search through the benchmark's
+own span code, as a library call and through the CLI."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import degmatch
+import degmatch.cli as cli
+import degmatch.core as core
+import degmatch.lce as lce
+import degmatch.matcher as matcher
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+sys.path.insert(0, str(BENCHMARK))
+import spans  # noqa: E402
+
+PATTERN = "ACGNTA"
+TEXTS = {
+    "solid": "TTACGATAGGACGCTAC",
+    "degenerate": "TTACGATAGNNNRCGCTAC",
+}
+# the per-layer metrics that match_metrics feeds
+LAYER_METRICS = {
+    m["name"] for m in json.loads((BENCHMARK.parent / "BENCHMARK.json").read_text())["per_layer"]
+    if m["name"].split(".")[0] in ("matcher", "lce")
+}
+LAYER_SPANS = ("core.parse", "matcher.substitute", "lce.build", "lce.suffix_sort", "lce.lcp",
+               "lce.rmq", "matcher.kangaroo", "lce.query", "matcher.filter")
+
+
+def _library_search(tracer, text):
+    with tracer.span("match") as record:
+        report = degmatch.find_occurrences(core.parse_iupac(PATTERN), core.parse_iupac(text))
+        spans.report_counts(record["attrs"], None, report)
+
+
+def _cli_search(tracer, text):
+    argv = ["-p", PATTERN, "--pattern-syntax", "iupac", "--text-syntax", "iupac", "--text", text]
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(TEXTS))
+@pytest.mark.parametrize(
+    "parsers_of,run", [(core, _library_search), (cli, _cli_search)], ids=["core", "cli"]
+)
+def test_traced_search_reports_every_layer(parsers_of, run, kind, capsys):
+    tracer = spans.Tracer()
+    tracer.install(parsers_of)
+    try:
+        run(tracer, TEXTS[kind])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    for owner, attr in ((cli, "find_occurrences"), (matcher, "kangaroo_search"),
+                        (lce.LceIndex, "lce_many"), (parsers_of, "parse_iupac")):
+        assert not hasattr(getattr(owner, attr), "__wrapped__"), attr
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("match") == 1
+    assert set(LAYER_SPANS) <= set(names)
+    metrics = spans.match_metrics(tracer.spans)
+    assert set(metrics) == LAYER_METRICS
+    assert metrics["lce.queries"][0] > 0
