@@ -8,7 +8,6 @@ the brute-force reference.
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import dataclass
 
 from . import bench as bench_mod
@@ -30,10 +29,6 @@ class FastaError(ValueError):
 
 
 class EmptyFile(FastaError):
-    pass
-
-
-class SequenceBeforeHeader(FastaError):
     pass
 
 
@@ -63,7 +58,8 @@ class RunConfig:
 
 
 def _split_fasta(contents: str):
-    """FASTA records as (id, [(line number, chunk)]) with whitespace stripped."""
+    """FASTA records as (id, [(line number, chunk)]) with whitespace
+    stripped; ``contents`` starts, after blank space, with a '>' header."""
     records = []
     current = None
     for line_no, line in enumerate(contents.splitlines(), start=1):
@@ -76,13 +72,7 @@ def _split_fasta(contents: str):
             current = (rid, [])
             records.append(current)
         else:
-            if current is None:
-                raise SequenceBeforeHeader(
-                    f"line {line_no}: sequence data before any '>' header"
-                )
             current[1].append((line_no, "".join(stripped.split())))
-    if not records:
-        raise EmptyFile("no FASTA records found")
     return records
 
 
@@ -107,21 +97,6 @@ def _parse_record(rid, chunks, parse) -> DegenerateString:
             raise
         line = _line_of(chunks, err.position)
         raise type(err)(f"record {rid!r}, line {line}: {err}", err.position) from err
-
-
-def ingest_fasta(contents: str, parse) -> list[tuple[str, DegenerateString]]:
-    """Parse FASTA ``contents`` into (record id, sequence) pairs.
-
-    ``parse`` maps the concatenated raw sequence of one record to a
-    DegenerateString; parse failures are re-raised with the record id and
-    source line attached. Empty records warn and stay in the list.
-    """
-    out = []
-    for rid, chunks in _split_fasta(contents):
-        if not chunks:
-            warnings.warn(f"FASTA record {rid!r} has an empty sequence", stacklevel=2)
-        out.append((rid, _parse_record(rid, chunks, parse)))
-    return out
 
 
 def _read(path: str) -> str:
@@ -255,10 +230,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=["positions", "tsv", "json-lines"],
                    default="positions")
     p.add_argument("--diagnostics", action="store_true",
-                   help="include match verdicts in tsv/json output: one per pattern "
-                        "placeholder on a solid text, one per recorded mismatch (text "
-                        "placeholders and solid mismatches within budget) on a "
-                        "degenerate text")
+                   help="include match verdicts in tsv/json output: one per recorded "
+                        "mismatch, in pattern order; on a solid text these are exactly "
+                        "the pattern placeholders")
     p.add_argument("--self-check", action="store_true",
                    help="cross-check results against the brute-force matcher")
     p.add_argument("--bench", metavar="SPEC",

@@ -218,10 +218,3 @@ class LceIndex:
         if same.any():
             out = np.where(same, self.length - i, out)
         return out
-
-    def dump(self) -> str:
-        """Suffix order and LCP arrays as tab-separated lines (rank, start, lcp)."""
-        return "\n".join(
-            f"{r}\t{int(self.suffix_order[r])}\t{int(self.lcp[r])}"
-            for r in range(self.length)
-        )

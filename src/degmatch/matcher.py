@@ -4,15 +4,18 @@ Stage 1 replaces every non-solid symbol with a fresh placeholder rank
 outside the base alphabet, turning the pattern into a solid string that
 mismatches the text at exactly those positions. Stage 2 finds, for every
 alignment, the first k+1 mismatch positions with one constant-time LCE
-jump each. Stage 3 re-checks every placeholder mismatch against the
-original symbol sets and keeps the alignments where all of them are fake.
+jump each. Stage 3 gives every recorded mismatch of an approximate
+alignment one verdict, in pattern order: fake when the pattern set and
+the text set there intersect, real otherwise. An alignment is an exact
+occurrence iff all of its verdicts are fake.
 
 A degenerate text is handled the same way: its non-solid symbols get
-their own placeholder ranks, and mismatch verdicts intersect both
-original sets. An occurrence can only mismatch where the pattern or its
-own text window holds a placeholder, so alignment i gets the budget
-b_i = min(m, k_pattern + t_i), where t_i counts the text placeholders
-inside window i. On a solid text every b_i is k_pattern.
+their own placeholder ranks. An occurrence can only mismatch where the
+pattern or its own text window holds a placeholder, so alignment i gets
+the budget b_i = min(m, k_pattern + t_i), where t_i counts the text
+placeholders inside window i. On a solid text every b_i is k_pattern,
+and the recorded mismatches of an approximate alignment are exactly the
+pattern placeholders.
 
 Three entry points run the stages: ``prepare`` does stage 1 and builds
 the LCE index, ``search`` runs stages 2 and 3 on what ``prepare``
@@ -52,16 +55,6 @@ class SubstitutedString:
     @property
     def k(self) -> int:
         return len(self.placeholder_positions)
-
-    def mask_at(self, pos: int) -> int:
-        """Set mask at 1-based ``pos``: the original set at a placeholder,
-        the singleton of the base rank elsewhere. Placeholder ranks are
-        consecutive, so the rank itself indexes ``original_sets``."""
-        rank = int(self.ranks[pos - 1])
-        if rank < len(self.alphabet):
-            return 1 << rank
-        first = int(self.ranks[self.placeholder_positions[0] - 1])
-        return self.original_sets[rank - first].mask
 
 
 def substitute(s: DegenerateString, first_placeholder_rank: int | None = None) -> SubstitutedString:
@@ -186,13 +179,9 @@ def kangaroo_search(
         else:
             active = active[(mm != sentinel) & (budgets[active] > j)]
 
-    if budgets is None:
-        last = entries[:, k]
-    else:
-        last = np.take_along_axis(entries, budgets[:, None], axis=1)[:, 0]
-    approx = np.flatnonzero(last == sentinel)
+    approx = np.flatnonzero(f == sentinel)  # the last jump reached the end
     table = MismatchTable(entries=entries, m=m, budget=k, query_count=queries)
-    return table, tuple(int(i) for i in approx)
+    return table, tuple(approx.tolist())
 
 
 @dataclass(frozen=True)
@@ -201,12 +190,13 @@ class MatchReport:
     alignments they were filtered from (0-based), per-alignment verdicts
     when diagnostics were requested, and the LCE query count.
 
-    ``verdicts[j]`` belongs to ``approximate_occurrences[j]``. On a solid
-    text it holds one verdict per pattern placeholder, in pattern order.
-    On a degenerate text it holds one verdict per recorded mismatch, in
-    pattern order: text placeholders, and solid mismatches within the
-    alignment's budget. So ``a[bc]d`` at position 1 of ``[ab]bdacd``
-    gives ``(fake, fake)``, and of the solid ``abdacd`` gives ``(fake,)``.
+    ``verdicts[j]`` belongs to ``approximate_occurrences[j]`` and holds
+    one verdict per recorded mismatch, in pattern order. On a solid text
+    these mismatches are exactly the pattern placeholders; on a
+    degenerate text they also cover text placeholders and solid
+    mismatches within the alignment's budget. So ``a[bc]d`` at position
+    1 of ``[ab]bdacd`` gives ``(fake, fake)``, and of the solid
+    ``abdacd`` gives ``(fake,)``.
     """
 
     exact_occurrences: tuple[int, ...]
@@ -216,77 +206,50 @@ class MatchReport:
 
 
 def filter_occurrences(
-    sub: SubstitutedString,
-    text_ranks: np.ndarray,
-    approx: tuple[int, ...],
-    membership: np.ndarray,
-    diagnostics: bool = False,
-    lce_queries: int = 0,
-) -> MatchReport:
-    """Stage 3 for a solid text: an approximate occurrence at alignment i
-    is exact iff at every placeholder position e the text character
-    t[i+e] belongs to the original set (every mismatch is fake)."""
-    k = sub.k
-    approx_arr = np.asarray(approx, dtype=np.int64)
-    if approx_arr.size == 0:
-        return MatchReport((), tuple(approx), () if diagnostics else None, lce_queries)
-    if k == 0:
-        exact = tuple(int(i) + 1 for i in approx_arr)
-        verdicts = tuple(() for _ in approx_arr) if diagnostics else None
-        return MatchReport(exact, tuple(approx), verdicts, lce_queries)
-
-    positions = np.asarray(sub.placeholder_positions, dtype=np.int64)
-    chars = text_ranks[approx_arr[:, None] + positions[None, :] - 1]
-    fake = membership[np.arange(k)[None, :], chars]
-    all_fake = fake.all(axis=1)
-    exact = tuple(int(i) + 1 for i in approx_arr[all_fake])
-    verdicts = None
-    if diagnostics:
-        verdicts = tuple(tuple(FAKE if x else REAL for x in row) for row in fake)
-    return MatchReport(exact, tuple(approx), verdicts, lce_queries)
-
-
-def _filter_general(
-    sub_pattern: SubstitutedString,
-    sub_text: SubstitutedString,
+    sub_p: SubstitutedString,
+    sub_t: SubstitutedString,
     table: MismatchTable,
     approx: tuple[int, ...],
     diagnostics: bool = False,
-    lce_queries: int = 0,
 ) -> MatchReport:
-    """Stage 3 for a degenerate text: every recorded mismatch (placeholder
-    or solid-vs-solid within budget) is verdict-checked by intersecting
-    the original symbol sets on both sides, looked up only at the
-    recorded positions."""
-    sentinel = table.sentinel
+    """Stage 3: an approximate occurrence at alignment i is exact iff at
+    every recorded mismatch e the pattern set and the text set at i+e
+    intersect (every mismatch is fake).
 
-    exact = []
-    verdicts = [] if diagnostics else None
-    for i in approx:
-        row = table.entries[i]
-        occurrence_verdicts = []
-        all_fake = True
-        for e in row:
-            e = int(e)
-            if e == sentinel:
-                break
-            fake = sub_pattern.mask_at(e) & sub_text.mask_at(i + e) != 0
-            if diagnostics:
-                occurrence_verdicts.append(FAKE if fake else REAL)
-            if not fake:
-                all_fake = False
-                if not diagnostics:
-                    break
-        if all_fake:
-            exact.append(i + 1)
-        if diagnostics:
-            verdicts.append(tuple(occurrence_verdicts))
-    return MatchReport(
-        tuple(exact),
-        tuple(approx),
-        tuple(verdicts) if diagnostics else None,
-        lce_queries,
+    Sets are looked up by rank in one membership table laid out as
+    ``prepare`` assigns ranks: the sigma base ranks, then the pattern
+    placeholders, then the text placeholders. Rows are bit-packed, so an
+    intersection test is one byte-wise AND for any alphabet size.
+    """
+    sigma = len(sub_p.alphabet)
+    membership = np.packbits(
+        np.concatenate([
+            np.eye(sigma, dtype=bool),
+            precompute_membership(sub_p),
+            precompute_membership(sub_t),
+        ]),
+        axis=1,
     )
+    rows = np.asarray(approx, dtype=np.int64)
+    # column b_i of an approximate row is the sentinel, so the last column
+    # never holds a mismatch
+    mismatches = table.entries[rows, : table.budget]
+    recorded = mismatches != table.sentinel
+    offsets = np.where(recorded, mismatches, 1) - 1  # 0-based pattern offsets
+    shared = membership[sub_p.ranks[offsets]] & membership[sub_t.ranks[rows[:, None] + offsets]]
+    fake = shared.any(axis=2) | ~recorded
+    exact = rows[fake.all(axis=1)] + 1
+    verdicts = None
+    if diagnostics:
+        verdicts = tuple(
+            tuple(FAKE if x else REAL for x in row[mask])
+            for row, mask in zip(fake, recorded)
+        )
+    return MatchReport(tuple(exact.tolist()), tuple(approx), verdicts, table.query_count)
+
+
+# The benchmark's traced run wraps stage 3 under this name as well.
+_filter_general = filter_occurrences
 
 
 def prepare(
@@ -317,19 +280,9 @@ def search(
     diagnostics: bool = False,
 ) -> MatchReport:
     """Stages 2 and 3 on the output of ``prepare``, for a pattern no
-    longer than the text: kangaroo jumps, then the solid-text filter or,
-    when the text has placeholders, the general one."""
+    longer than the text: kangaroo jumps, then the verdict check."""
     table, approx = kangaroo_search(sub_p, sub_t.ranks, index)
-    if sub_t.k == 0:
-        membership = precompute_membership(sub_p)
-        return filter_occurrences(
-            sub_p, sub_t.ranks, approx, membership,
-            diagnostics=diagnostics, lce_queries=table.query_count,
-        )
-    return _filter_general(
-        sub_p, sub_t, table, approx,
-        diagnostics=diagnostics, lce_queries=table.query_count,
-    )
+    return filter_occurrences(sub_p, sub_t, table, approx, diagnostics=diagnostics)
 
 
 def find_occurrences(

@@ -3,16 +3,7 @@ import json
 
 import pytest
 
-from degmatch import UnknownCharacter, parse_solid
-from degmatch.cli import (
-    EmptyFile,
-    RunConfig,
-    SequenceBeforeHeader,
-    ingest_fasta,
-    main,
-    run,
-)
-from degmatch.core import DNA_ALPHABET
+from degmatch.cli import EmptyFile, RunConfig, main, run
 
 GOLDEN = ["-p", "a[bc]da[bd]", "--text", "dacdabdadcabdac"]
 
@@ -88,34 +79,24 @@ class TestInputSources:
 
 
 class TestFasta:
-    def test_spec_example_record(self):
-        records = ingest_fasta(
-            ">seq1\nDACDA\nBDADCABDAC\n",
-            lambda raw: parse_solid(raw, __import__("degmatch").Alphabet("abcd")),
-        )
-        assert len(records) == 1
-        rid, seq = records[0]
-        assert rid == "seq1" and len(seq) == 15
+    def test_spec_example_record(self, tmp_path, capsys):
+        f = tmp_path / "t.fa"
+        f.write_text(">seq1\nDACDA\nBDADCABDAC\n")
+        assert main(["-p", "a[bc]da[bd]", "--text-file", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["seq1:2", "seq1:5"]
+        # the record is the 15 symbols of both lines
+        assert main(["-p", "dacdabdadcabdac", "--text-file", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["seq1:1"]
+        assert main(["-p", "dacdabdadcabdaca", "--text-file", str(f)]) == 1
 
-    def test_empty_record_warns(self):
-        with pytest.warns(UserWarning, match="empty sequence"):
-            records = ingest_fasta(">a\n\n>b\nACGT\n", lambda raw: parse_solid(raw, DNA_ALPHABET))
-        assert [rid for rid, _ in records] == ["a", "b"]
-        assert len(records[0][1]) == 0 and len(records[1][1]) == 4
-
-    def test_sequence_before_header(self):
-        with pytest.raises(SequenceBeforeHeader):
-            ingest_fasta("ACGT\n", lambda raw: parse_solid(raw, DNA_ALPHABET))
-
-    def test_empty_file(self):
-        with pytest.raises(EmptyFile):
-            ingest_fasta("", lambda raw: parse_solid(raw, DNA_ALPHABET))
-
-    def test_parse_error_carries_record_and_line(self):
-        with pytest.raises(UnknownCharacter, match=r"record 'bad', line 3"):
-            ingest_fasta(
-                ">bad\nACGT\nAXGT\n", lambda raw: parse_solid(raw, DNA_ALPHABET)
-            )
+    def test_empty_record_warns(self, tmp_path, capsys):
+        f = tmp_path / "t.fa"
+        f.write_text(">a\n\n>b\nACGT\n")
+        assert main(["-p", "acgt", "--text-file", str(f)]) == 0
+        captured = capsys.readouterr()
+        assert "record 'a' has an empty sequence" in captured.err
+        assert captured.out.splitlines() == ["b:1"]
+        assert main(["-p", "acgta", "--text-file", str(f)]) == 1
 
     def test_cli_parse_error_carries_record_and_line(self, tmp_path, capsys):
         f = tmp_path / "f.fa"

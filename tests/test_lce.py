@@ -89,16 +89,6 @@ class TestQueries:
         with pytest.raises(OutOfRange):
             idx.lce_many(np.asarray([0, 5]), np.asarray([0, 0]))
 
-    def test_dump_format(self):
-        idx = LceIndex(encode("aba#"))
-        lines = idx.dump().splitlines()
-        assert len(lines) == 4
-        for r, line in enumerate(lines):
-            rank, start, lcp = line.split("\t")
-            assert int(rank) == r
-            assert int(start) == idx.suffix_order[r]
-            assert int(lcp) == idx.lcp[r]
-
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("length,sigma,seed", [

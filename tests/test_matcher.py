@@ -62,6 +62,26 @@ def _runs_of_n(rng, n, m):
     return "".join(text)
 
 
+# 70 symbols, so a set holding rank 69 is wider than a machine word.
+WIDE = Alphabet(chr(0x100 + 2 * i) for i in range(70))
+
+
+def _sigma_70(rng):
+    """Solid symbols of ranks 0, 1 and 69, and two-member sets that all
+    hold rank 69; the text is solid for about half the seeds."""
+    def symbol(degenerate):
+        if degenerate:
+            return "[" + WIDE.char(rng.choice((0, 1))) + WIDE.char(69) + "]"
+        return WIDE.char(rng.choice((0, 1, 69)))
+
+    text_sets = rng.random() < 0.5
+    return (
+        "".join(symbol(rng.random() < 0.4) for _ in range(rng.randint(1, 5))),
+        "".join(symbol(text_sets and rng.random() < 0.3) for _ in range(rng.randint(5, 30))),
+        lambda raw: parse_bracket(raw, WIDE),
+    )
+
+
 # Adversarial degenerate-text families: (pattern, text, parser) per seed.
 ADVERSARIAL = {
     "all-n-text": lambda rng: (
@@ -89,6 +109,7 @@ ADVERSARIAL = {
         "ACGT" + "N" * rng.randint(6, 12) + "".join(rng.choice("ACGT") for _ in range(6)),
         parse_iupac,
     ),
+    "sigma-70": _sigma_70,
 }
 
 
@@ -218,9 +239,7 @@ class TestKangarooSearch:
 class TestFilter:
     def test_golden_verdicts(self, golden_pattern, golden_text):
         sub_p, sub_t, table, approx = pipeline(golden_pattern, golden_text)
-        report = filter_occurrences(
-            sub_p, sub_t.ranks, approx, precompute_membership(sub_p), diagnostics=True
-        )
+        report = filter_occurrences(sub_p, sub_t, table, approx, diagnostics=True)
         assert report.exact_occurrences == (2, 5)
         assert report.verdicts == ((FAKE, FAKE), (FAKE, FAKE), (FAKE, REAL))
 
@@ -228,15 +247,53 @@ class TestFilter:
         pattern = parse_solid("aa", abcd)
         text = parse_solid("aaa", abcd)
         sub_p, sub_t, table, approx = pipeline(pattern, text)
-        report = filter_occurrences(sub_p, sub_t.ranks, approx, precompute_membership(sub_p))
+        report = filter_occurrences(sub_p, sub_t, table, approx)
         assert report.exact_occurrences == (1, 2)
 
     def test_no_approximate_occurrences(self, abcd):
         pattern = parse_solid("ab", abcd)
         text = parse_solid("dddd", abcd)
         sub_p, sub_t, table, approx = pipeline(pattern, text)
-        report = filter_occurrences(sub_p, sub_t.ranks, approx, precompute_membership(sub_p))
+        report = filter_occurrences(sub_p, sub_t, table, approx)
         assert report.exact_occurrences == () and report.approximate_occurrences == ()
+
+    @pytest.mark.parametrize("raw_text,verdicts", [
+        ("[ab]bdacd", (FAKE, FAKE)),  # the text placeholder is recorded too
+        ("abdacd", (FAKE,)),  # solid text: the pattern placeholder alone
+    ])
+    def test_match_report_example(self, abcd, raw_text, verdicts):
+        pattern = parse_bracket("a[bc]d", abcd)
+        report = find_occurrences(pattern, parse_bracket(raw_text, abcd), diagnostics=True)
+        assert report.exact_occurrences[0] == 1
+        assert report.approximate_occurrences[0] == 0
+        assert report.verdicts[0] == verdicts
+
+    def test_verdicts_intersect_pattern_and_text_sets(self):
+        # one verdict per recorded mismatch e of approximate alignment i:
+        # fake iff the pattern set at e and the text set at i + e intersect
+        rng = random.Random(404)
+        for trial in range(300):
+            sigma = rng.choice([2, 3, 4, 8, 20])
+            m = rng.randint(1, 10)
+            n = rng.randint(m, 80)
+            spec = RandomInstanceSpec(
+                n=n, m=m, sigma=sigma,
+                k_pattern=rng.randint(0, min(3, m)),
+                k_text=rng.randint(1, min(4, n)) if trial % 2 else 0,
+                max_set_size=rng.randint(2, sigma) if sigma > 2 else 2,
+                seed=trial,
+            )
+            pattern, text = generate_instance(spec)
+            sub_p, sub_t, table, approx = pipeline(pattern, text)
+            report = filter_occurrences(sub_p, sub_t, table, approx, diagnostics=True)
+            assert report.approximate_occurrences == approx
+            for i, verdicts in zip(approx, report.verdicts):
+                expected = tuple(
+                    FAKE if pattern.symbol_at(e).mask & text.symbol_at(i + e).mask else REAL
+                    for e in table.column(i) if e != table.sentinel
+                )
+                assert verdicts == expected, spec
+                assert (i + 1 in report.exact_occurrences) == (REAL not in verdicts), spec
 
 
 class TestFindOccurrences:
