@@ -1,12 +1,17 @@
 """Alphabets, degenerate symbols and strings, and the bracket/IUPAC parsers.
 
 A degenerate symbol is a non-empty subset of the alphabet occupying one
-string position; it is stored as a bit mask over alphabet ranks so that
-"do two symbols match" is a single integer AND. Positions are 1-based in
-every public interface.
+string position, a bit mask over alphabet ranks, so "do two symbols
+match" is a single integer AND. A degenerate string is stored in the
+form the search reads (stage 1): one rank per position, where each
+non-solid symbol gets its own placeholder rank past the alphabet, plus
+the masks of its k non-solid sets. Positions are 1-based in every public
+interface.
 """
 
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -172,23 +177,28 @@ def symbols_match(a: DegenerateSymbol, b: DegenerateSymbol) -> bool:
 
 
 class DegenerateString:
-    """Immutable sequence of degenerate symbols over a single alphabet."""
+    """Immutable sequence of degenerate symbols over a single alphabet.
 
-    __slots__ = ("alphabet", "symbols", "non_solid_positions")
+    ``ranks`` is a read-only int32 array: the alphabet rank at a solid
+    position and sigma + j at the j-th non-solid position (j from 0, left
+    to right). ``sets`` holds the k non-solid sets as masks, in the same
+    order; Python integers hold a mask of any width, so every alphabet
+    size has this one form. ``symbols``, ``symbol_at`` and iteration give
+    ``DegenerateSymbol`` views.
+    """
+
+    __slots__ = ("alphabet", "ranks", "sets")
 
     def __init__(self, alphabet: Alphabet, symbols: Iterable[DegenerateSymbol]):
         syms = tuple(symbols)
         for s in syms:
             if s.alphabet != alphabet:
                 raise ValueError("symbol alphabet does not match string alphabet")
-        self.alphabet = alphabet
-        self.symbols = syms
-        self.non_solid_positions = tuple(
-            p for p, s in enumerate(syms, start=1) if not s.is_solid
-        )
+        packed = _pack(alphabet, [s.mask for s in syms], np.arange(len(syms)))
+        self.alphabet, self.ranks, self.sets = alphabet, packed.ranks, packed.sets
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.ranks)
 
     def __iter__(self) -> Iterator[DegenerateSymbol]:
         return iter(self.symbols)
@@ -197,34 +207,81 @@ class DegenerateString:
         return (
             isinstance(other, DegenerateString)
             and self.alphabet == other.alphabet
-            and self.symbols == other.symbols
+            and np.array_equal(self.ranks, other.ranks)
+            and self.sets == other.sets
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.symbols))
+        return hash((self.alphabet, self.ranks.tobytes(), self.sets))
 
     def __repr__(self) -> str:
         return f"DegenerateString({format_bracket(self)!r})"
 
+    def __reduce__(self):
+        return DegenerateString, (self.alphabet, self.symbols)  # copies get read-only ranks too
+
+    def _rank_masks(self) -> list[int]:
+        """The set of every rank: the sigma base symbols, then ``sets``."""
+        return [1 << r for r in range(len(self.alphabet))] + list(self.sets)
+
+    @property
+    def symbols(self) -> tuple[DegenerateSymbol, ...]:
+        views = [DegenerateSymbol(self.alphabet, mk) for mk in self._rank_masks()]
+        return tuple(views[r] for r in self.ranks.tolist())
+
+    @property
+    def non_solid_positions(self) -> tuple[int, ...]:
+        return tuple((np.flatnonzero(self.ranks >= len(self.alphabet)) + 1).tolist())
+
     @property
     def is_solid(self) -> bool:
-        return not self.non_solid_positions
+        return not self.sets
 
     def is_conservative(self, k: int) -> bool:
         """At most ``k`` non-solid positions."""
-        return len(self.non_solid_positions) <= k
+        return len(self.sets) <= k
 
     def symbol_at(self, pos: int) -> DegenerateSymbol:
         """Symbol at 1-based position ``pos``."""
-        if not 1 <= pos <= len(self.symbols):
-            raise OutOfRange(f"position {pos} outside 1..{len(self.symbols)}")
-        return self.symbols[pos - 1]
+        if not 1 <= pos <= len(self):
+            raise OutOfRange(f"position {pos} outside 1..{len(self)}")
+        rank, sigma = int(self.ranks[pos - 1]), len(self.alphabet)
+        mask = 1 << rank if rank < sigma else self.sets[rank - sigma]
+        return DegenerateSymbol(self.alphabet, mask)
 
     def substring(self, i: int, j: int) -> "DegenerateString":
         """Symbols at 1-based positions i..j; i = j+1 yields the empty string."""
-        if not (1 <= i <= j + 1 and j <= len(self.symbols)):
-            raise OutOfRange(f"substring bounds ({i}, {j}) invalid for length {len(self.symbols)}")
-        return DegenerateString(self.alphabet, self.symbols[i - 1 : j])
+        if not (1 <= i <= j + 1 and j <= len(self)):
+            raise OutOfRange(f"substring bounds ({i}, {j}) invalid for length {len(self)}")
+        return _pack(self.alphabet, self._rank_masks(), self.ranks[i - 1 : j])
+
+
+def _pack(alphabet: Alphabet, masks: list[int], codes: np.ndarray) -> DegenerateString:
+    """The string whose position p holds the set ``masks[codes[p]]``.
+    Python visits each entry of ``masks`` and each non-solid position
+    once; the rest is numpy over ``codes``."""
+    solid = np.array([mk.bit_count() == 1 for mk in masks], dtype=bool)
+    ranks = np.array([mk.bit_length() - 1 for mk in masks], dtype=np.int32)[codes]
+    placed = np.flatnonzero(~solid[codes])
+    ranks[placed] = len(alphabet) + np.arange(len(placed))
+    ranks.flags.writeable = False
+    s = DegenerateString.__new__(DegenerateString)
+    s.alphabet, s.ranks, s.sets = alphabet, ranks, tuple(masks[c] for c in codes[placed].tolist())
+    return s
+
+
+def _parse_characters(text: str, alphabet: Alphabet, mask_of, error, what) -> DegenerateString:
+    """One symbol per character of ``text``. ``mask_of`` runs once per
+    distinct character and gives its set, or None when the character is
+    invalid; the first invalid character in text order raises ``error``."""
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    distinct, codes = np.unique(points, return_inverse=True)
+    masks = [mask_of(chr(c)) for c in distinct.tolist()]
+    if None in masks:
+        invalid = [d for d, mk in enumerate(masks) if mk is None]
+        first = int(np.flatnonzero(np.isin(codes, invalid))[0])
+        raise error(f"{what} {text[first]!r} at position {first + 1}", first + 1)
+    return _pack(alphabet, masks, codes)
 
 
 def parse_bracket(text: str, alphabet: Alphabet) -> DegenerateString:
@@ -234,7 +291,7 @@ def parse_bracket(text: str, alphabet: Alphabet) -> DegenerateString:
     commas inside a group are skipped, duplicate members collapse, and a
     singleton group normalizes to a solid symbol.
     """
-    symbols = []
+    masks = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -258,26 +315,25 @@ def parse_bracket(text: str, alphabet: Alphabet) -> DegenerateString:
                 raise UnclosedBracket(f"bracket opened at position {start} is never closed", start)
             if mask == 0:
                 raise EmptyBracket(f"empty bracket group at position {start}", start)
-            symbols.append(DegenerateSymbol(alphabet, mask))
+            masks.append(mask)
             i += 1
         else:
             folded = alphabet.fold(c)
             if folded is None:
                 raise UnknownCharacter(f"unknown character {c!r} at position {i + 1}", i + 1)
-            symbols.append(DegenerateSymbol.solid(alphabet, folded))
+            masks.append(1 << alphabet.rank(folded))
             i += 1
-    return DegenerateString(alphabet, symbols)
+    return _pack(alphabet, masks, np.arange(len(masks)))
 
 
 def parse_solid(text: str, alphabet: Alphabet) -> DegenerateString:
     """Parse a plain string of alphabet characters (every symbol solid)."""
-    symbols = []
-    for i, c in enumerate(text, start=1):
+
+    def mask_of(c):
         folded = alphabet.fold(c)
-        if folded is None:
-            raise UnknownCharacter(f"unknown character {c!r} at position {i}", i)
-        symbols.append(DegenerateSymbol.solid(alphabet, folded))
-    return DegenerateString(alphabet, symbols)
+        return None if folded is None else 1 << alphabet.rank(folded)
+
+    return _parse_characters(text, alphabet, mask_of, UnknownCharacter, "unknown character")
 
 
 def format_bracket(s: DegenerateString) -> str:
@@ -298,14 +354,11 @@ IUPAC_CODES = {
 }
 
 DNA_ALPHABET = Alphabet("ACGT")
+_IUPAC_MASKS = {c: DegenerateSymbol.of(DNA_ALPHABET, m).mask for c, m in IUPAC_CODES.items()}
 
 
 def parse_iupac(text: str) -> DegenerateString:
     """Parse IUPAC nucleotide codes (case-insensitive) over {A, C, G, T}."""
-    symbols = []
-    for i, c in enumerate(text, start=1):
-        members = IUPAC_CODES.get(c.upper())
-        if members is None:
-            raise UnknownCode(f"unknown IUPAC code {c!r} at position {i}", i)
-        symbols.append(DegenerateSymbol.of(DNA_ALPHABET, members))
-    return DegenerateString(DNA_ALPHABET, symbols)
+    return _parse_characters(
+        text, DNA_ALPHABET, lambda c: _IUPAC_MASKS.get(c.upper()), UnknownCode, "unknown IUPAC code"
+    )

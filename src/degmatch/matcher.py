@@ -1,94 +1,55 @@
 """Three-stage degenerate pattern search.
 
-Stage 1 replaces every non-solid symbol with a fresh placeholder rank
-outside the base alphabet, turning the pattern into a solid string that
-mismatches the text at exactly those positions. Stage 2 finds, for every
-alignment, the first k+1 mismatch positions with one constant-time LCE
-jump each. Stage 3 gives every recorded mismatch of an approximate
+Stage 1 happens at parse time: a ``DegenerateString`` stores every
+non-solid symbol as a fresh placeholder rank outside the base alphabet,
+so its ranks form a solid string that mismatches the text at exactly
+those positions, and it keeps the k sets beside them. Stage 2 finds, for
+every alignment, the first k+1 mismatch positions with one constant-time
+LCE jump each. Stage 3 gives every recorded mismatch of an approximate
 alignment one verdict, in pattern order: fake when the pattern set and
 the text set there intersect, real otherwise. An alignment is an exact
 occurrence iff all of its verdicts are fake.
 
-A degenerate text is handled the same way: its non-solid symbols get
-their own placeholder ranks. An occurrence can only mismatch where the
-pattern or its own text window holds a placeholder, so alignment i gets
-the budget b_i = min(m, k_pattern + t_i), where t_i counts the text
+A degenerate text is handled the same way: its non-solid symbols have
+their own placeholder ranks, which ``prepare`` moves past the pattern's
+before it indexes both strings. An occurrence can only mismatch where
+the pattern or its own text window holds a placeholder, so alignment i
+gets the budget b_i = min(m, k_pattern + t_i), where t_i counts the text
 placeholders inside window i. On a solid text every b_i is k_pattern,
 and the recorded mismatches of an approximate alignment are exactly the
 pattern placeholders.
 
-Three entry points run the stages: ``prepare`` does stage 1 and builds
-the LCE index, ``search`` runs stages 2 and 3 on what ``prepare``
-returns, and ``find_occurrences`` checks its inputs and chains the two.
+Three entry points run the stages: ``prepare`` builds the LCE index over
+both strings' ranks, ``search`` runs stages 2 and 3 with that index, and
+``find_occurrences`` checks its inputs and chains the two.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alphabet, DegenerateString, DegenerateSymbol, EmptyPattern
+from .core import DegenerateString, EmptyPattern
 from .lce import LceIndex
 
 FAKE = "fake"
 REAL = "real"
 
 
-@dataclass(frozen=True, eq=False)
-class SubstitutedString:
-    """Solid encoding of a degenerate string.
-
-    ``ranks[p-1]`` is the base-alphabet rank at solid positions and a
-    unique placeholder rank (>= len(alphabet)) at non-solid ones.
-    """
-
-    alphabet: Alphabet
-    ranks: np.ndarray
-    placeholder_positions: tuple[int, ...]  # 1-based
-    original_sets: tuple[DegenerateSymbol, ...]
-
-    def __post_init__(self):
-        self.ranks.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-    @property
-    def k(self) -> int:
-        return len(self.placeholder_positions)
-
-
-def substitute(s: DegenerateString, first_placeholder_rank: int | None = None) -> SubstitutedString:
-    """Replace the i-th non-solid symbol (left to right) with placeholder
-    rank ``first_placeholder_rank + i - 1``; solid symbols keep their base
-    rank. Default placeholder ranks start right after the alphabet."""
+def substitute(s: DegenerateString, first_placeholder_rank: int) -> np.ndarray:
+    """The ranks of ``s`` with its placeholders moved to start at
+    ``first_placeholder_rank``; solid symbols keep their base rank."""
     sigma = len(s.alphabet)
-    base = sigma if first_placeholder_rank is None else first_placeholder_rank
-    ranks = np.empty(len(s), dtype=np.int32)
-    sets = []
-    for idx, sym in enumerate(s.symbols):
-        if sym.is_solid:
-            ranks[idx] = sym.solid_rank()
-        else:
-            ranks[idx] = base + len(sets)
-            sets.append(sym)
-    return SubstitutedString(
-        alphabet=s.alphabet,
-        ranks=ranks,
-        placeholder_positions=s.non_solid_positions,
-        original_sets=tuple(sets),
-    )
+    return np.where(s.ranks < sigma, s.ranks, s.ranks + (first_placeholder_rank - sigma))
 
 
-def precompute_membership(sub: SubstitutedString) -> np.ndarray:
-    """k x sigma boolean table: row i answers "does base character a belong
-    to the i-th non-solid set" in O(1). Construction is O(k*sigma)."""
-    sigma = len(sub.alphabet)
-    table = np.zeros((sub.k, sigma), dtype=bool)
-    for i, sym in enumerate(sub.original_sets):
-        for r in range(sigma):
-            table[i, r] = bool(sym.mask >> r & 1)
-    table.flags.writeable = False
-    return table
+def precompute_membership(s: DegenerateString) -> np.ndarray:
+    """Bit-packed membership rows of ``s``, indexed by its ranks: row r < sigma
+    holds base symbol r alone and row sigma + j the j-th non-solid set, so
+    two sets intersect iff the byte-wise AND of their rows is non-zero."""
+    width = (len(s.alphabet) + 7) // 8
+    masks = [1 << r for r in range(len(s.alphabet))] + list(s.sets)
+    packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    return np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,34 +91,30 @@ class MismatchTable:
 
 
 def kangaroo_search(
-    sub: SubstitutedString,
-    text_ranks: np.ndarray,
-    index: LceIndex,
+    pattern: DegenerateString, text: DegenerateString, index: LceIndex
 ) -> tuple[MismatchTable, tuple[int, ...]]:
     """Scan all alignments, jumping past each mismatch with one LCE query.
 
-    ``sub``, ``text_ranks`` and ``index`` come from ``prepare``: the index
-    is built over text + substituted pattern + separator, with text
-    placeholder ranks >= len(alphabet) and distinct from the pattern's,
-    and the pattern is no longer than the text. Alignment i makes at most
-    b_i + 1 jumps and is an approximate occurrence when one of them
-    reaches the sentinel m+1, i.e. the window matched the whole pattern
-    with at most b_i mismatches. b_i = min(m, sub.k + t_i), where t_i
-    counts the text placeholders inside window i. Sum of (b_i + 1)
-    queries in total, at most (k_total + 1)(n - m + 1), each O(1).
+    ``index`` comes from ``prepare``: it is built over text + pattern +
+    separator, with the text's placeholder ranks distinct from the
+    pattern's, and the pattern is no longer than the text. Alignment i
+    makes at most b_i + 1 jumps and is an approximate occurrence when one
+    of them reaches the sentinel m+1, i.e. the window matched the whole
+    pattern with at most b_i mismatches. b_i = min(m, k_pattern + t_i),
+    where t_i counts the text placeholders inside window i. Sum of
+    (b_i + 1) queries in total, at most (k_total + 1)(n - m + 1), each O(1).
     """
-    m = len(sub)
-    n = len(text_ranks)
-    k = sub.k
+    m = len(pattern)
+    n = len(text)
+    k = k_pattern = len(pattern.sets)
     sentinel = m + 1
     count = n - m + 1
-    sigma = len(sub.alphabet)
     budgets = None  # None: every alignment has the scalar budget k
-    if text_ranks.max() >= sigma:
+    if text.sets:
         placeholders = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(text_ranks >= sigma, out=placeholders[1:])
+        np.cumsum(text.ranks >= len(text.alphabet), out=placeholders[1:])
         in_window = placeholders[m:] - placeholders[:count]
-        budgets = np.minimum(in_window, m - sub.k) + sub.k
+        budgets = np.minimum(in_window, m - k_pattern) + k_pattern
         k = int(budgets.max())
 
     entries = np.full((count, k + 1), sentinel, dtype=np.int32)
@@ -206,8 +163,8 @@ class MatchReport:
 
 
 def filter_occurrences(
-    sub_p: SubstitutedString,
-    sub_t: SubstitutedString,
+    pattern: DegenerateString,
+    text: DegenerateString,
     table: MismatchTable,
     approx: tuple[int, ...],
     diagnostics: bool = False,
@@ -216,27 +173,20 @@ def filter_occurrences(
     every recorded mismatch e the pattern set and the text set at i+e
     intersect (every mismatch is fake).
 
-    Sets are looked up by rank in one membership table laid out as
-    ``prepare`` assigns ranks: the sigma base ranks, then the pattern
-    placeholders, then the text placeholders. Rows are bit-packed, so an
-    intersection test is one byte-wise AND for any alphabet size.
+    Each string's sets are looked up in its own membership rows by its
+    own ranks. Rows are bit-packed, so an intersection test is one
+    byte-wise AND for any alphabet size.
     """
-    sigma = len(sub_p.alphabet)
-    membership = np.packbits(
-        np.concatenate([
-            np.eye(sigma, dtype=bool),
-            precompute_membership(sub_p),
-            precompute_membership(sub_t),
-        ]),
-        axis=1,
-    )
     rows = np.asarray(approx, dtype=np.int64)
     # column b_i of an approximate row is the sentinel, so the last column
     # never holds a mismatch
     mismatches = table.entries[rows, : table.budget]
     recorded = mismatches != table.sentinel
     offsets = np.where(recorded, mismatches, 1) - 1  # 0-based pattern offsets
-    shared = membership[sub_p.ranks[offsets]] & membership[sub_t.ranks[rows[:, None] + offsets]]
+    shared = (
+        precompute_membership(pattern)[pattern.ranks[offsets]]
+        & precompute_membership(text)[text.ranks[rows[:, None] + offsets]]
+    )
     fake = shared.any(axis=2) | ~recorded
     exact = rows[fake.all(axis=1)] + 1
     verdicts = None
@@ -252,37 +202,32 @@ def filter_occurrences(
 _filter_general = filter_occurrences
 
 
-def prepare(
-    pattern: DegenerateString, text: DegenerateString
-) -> tuple[SubstitutedString, SubstitutedString, LceIndex]:
-    """Stage 1 and the LCE index: the substituted pattern, the substituted
-    text and an index over text + pattern + separator.
+def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
+    """The LCE index over text + pattern + separator.
 
-    Pattern placeholders take ranks sigma .. sigma + k_p - 1, text
-    placeholders the next k_t ranks, and the separator sigma + k_total,
-    so every placeholder mismatches every other symbol and the separator
-    is unique.
+    The pattern keeps its placeholder ranks sigma .. sigma + k_p - 1, the
+    text's move up to the next k_t ranks, and the separator is
+    sigma + k_total, so every placeholder mismatches every other symbol
+    and the separator is unique.
     """
-    sigma = len(pattern.alphabet)
-    sub_p = substitute(pattern)
-    sub_t = substitute(text, first_placeholder_rank=sigma + sub_p.k)
-    separator = sigma + sub_p.k + sub_t.k
+    sigma, k_p = len(pattern.alphabet), len(pattern.sets)
+    separator = sigma + k_p + len(text.sets)
     seq = np.concatenate(
-        [sub_t.ranks, sub_p.ranks, np.asarray([separator], dtype=np.int32)]
+        [substitute(text, sigma + k_p), pattern.ranks, np.asarray([separator], dtype=np.int32)]
     )
-    return sub_p, sub_t, LceIndex(seq, separator=separator)
+    return LceIndex(seq, separator=separator)
 
 
 def search(
-    sub_p: SubstitutedString,
-    sub_t: SubstitutedString,
+    pattern: DegenerateString,
+    text: DegenerateString,
     index: LceIndex,
     diagnostics: bool = False,
 ) -> MatchReport:
-    """Stages 2 and 3 on the output of ``prepare``, for a pattern no
+    """Stages 2 and 3 with the index from ``prepare``, for a pattern no
     longer than the text: kangaroo jumps, then the verdict check."""
-    table, approx = kangaroo_search(sub_p, sub_t.ranks, index)
-    return filter_occurrences(sub_p, sub_t, table, approx, diagnostics=diagnostics)
+    table, approx = kangaroo_search(pattern, text, index)
+    return filter_occurrences(pattern, text, table, approx, diagnostics=diagnostics)
 
 
 def find_occurrences(
@@ -304,4 +249,4 @@ def find_occurrences(
         raise ValueError("pattern and text are over different alphabets")
     if len(pattern) > len(text):
         return MatchReport((), (), () if diagnostics else None, 0)
-    return search(*prepare(pattern, text), diagnostics=diagnostics)
+    return search(pattern, text, prepare(pattern, text), diagnostics=diagnostics)

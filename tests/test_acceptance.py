@@ -48,8 +48,8 @@ def golden_inputs():
 
 
 def golden_stage2():
-    sub_p, sub_t, index = prepare(*golden_inputs())
-    return sub_p, sub_t, kangaroo_search(sub_p, sub_t.ranks, index)
+    pattern, text = golden_inputs()
+    return kangaroo_search(pattern, text, prepare(pattern, text))
 
 
 def _criterion4_specs(count=10_000):
@@ -148,7 +148,7 @@ def _timed_golden_run():
 
 
 def test_criterion_2_mismatch_table_reproduction():
-    _, _, (table, _) = golden_stage2()
+    table, _ = golden_stage2()
     assert table.entries.shape == (11, 3)
     assert table.entries.T.tolist() == GOLDEN_TABLE
     assert table.column(7) == (2, 3, 5)
@@ -158,7 +158,7 @@ def test_criterion_2_mismatch_table_reproduction():
 
 
 def test_criterion_3_stage_outputs():
-    sub_p, sub_t, (table, approx) = golden_stage2()
+    table, approx = golden_stage2()
     assert approx == (1, 4, 10)
     pattern, text = golden_inputs()
     report = find_occurrences(pattern, text, diagnostics=True)
@@ -244,9 +244,9 @@ def test_criterion_7_invariant_suite(capsys, tmp_path):
             k_pattern=rng.randint(0, min(4, m)), k_text=0, max_set_size=2,
             seed=trial,
         )
-        sub_p, sub_t, index = prepare(*generate_instance(spec))
-        table, approx = kangaroo_search(sub_p, sub_t.ranks, index)
-        placeholder_set = set(sub_p.placeholder_positions)
+        pattern, text = generate_instance(spec)
+        table, approx = kangaroo_search(pattern, text, prepare(pattern, text))
+        placeholder_set = set(pattern.non_solid_positions)
         for i in approx:
             entries = {e for e in table.column(i) if e != table.sentinel}
             assert entries == placeholder_set

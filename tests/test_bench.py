@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import degmatch
 import degmatch.bench as bench
 import degmatch.matcher as matcher
 from degmatch.bench import GridSpec, parse_grid, run_scaling
@@ -73,6 +79,27 @@ class TestRunScaling:
         grid = GridSpec(n_values=(128, 256), k_values=(1, 2, 3), m=16, reps=6)
         run_scaling(grid)
         assert calls == {"prepare": 6 * 6, "search": 6 * 6}
+
+    def test_query_bound_checked_under_optimize(self):
+        # the check must not be an assert statement, which python -O drops
+        script = (
+            "import dataclasses, degmatch.bench as bench\n"
+            "search = bench.search\n"
+            "def over(*args, **kwargs):\n"
+            "    report = search(*args, **kwargs)\n"
+            "    return dataclasses.replace(report, lce_queries=report.lce_queries + 10**6)\n"
+            "bench.search = over\n"
+            "bench.run_scaling(bench.GridSpec(n_values=(128,), k_values=(1,), m=16, reps=5))\n"
+        )
+        path = [str(Path(degmatch.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode != 0
+        assert "AssertionError: LCE query count" in result.stderr
+        assert "exceeds (k+1)(n-m+1) = 226 at n=128, k=1" in result.stderr
 
     def test_cell_lookup_missing(self):
         grid = GridSpec(n_values=(128,), k_values=(1,), m=16, reps=5)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -170,6 +173,12 @@ class TestParseIupac:
             parse_iupac("AXB")
         assert exc.value.position == 2
 
+    def test_lone_surrogate_is_an_unknown_code(self):
+        with pytest.raises(UnknownCode) as exc:
+            parse_iupac("A\udcff")
+        assert exc.value.position == 2
+        assert str(exc.value) == "unknown IUPAC code '\\udcff' at position 2"
+
     def test_case_insensitive(self):
         assert parse_iupac("acgtryswkmbdhvn") == parse_iupac("ACGTRYSWKMBDHVN")
 
@@ -204,7 +213,9 @@ class TestSubstring:
 class TestProperties:
     @given(degenerate_strings())
     def test_bracket_round_trip(self, s):
-        assert parse_bracket(format_bracket(s), s.alphabet) == s
+        parsed = parse_bracket(format_bracket(s), s.alphabet)
+        assert parsed == s
+        assert hash(parsed) == hash(s)
 
     @given(degenerate_strings())
     def test_non_solid_positions_iff_cardinality_two_or_more(self, s):
@@ -216,6 +227,31 @@ class TestProperties:
         k = len(s.non_solid_positions)
         assert s.is_conservative(k)
         assert not s.is_conservative(k - 1) or k == 0
+
+    def test_parse_solid_reports_first_unknown_in_text_order(self, abcd):
+        # '!' sorts before '?', but '?' comes first in the text
+        with pytest.raises(UnknownCharacter) as exc:
+            parse_solid("ab?c!", abcd)
+        assert exc.value.position == 3
+        assert str(exc.value) == "unknown character '?' at position 3"
+
+    def test_parse_solid_wide_alphabet_unknown_position(self):
+        wide = Alphabet(chr(0x100 + 2 * i) for i in range(70))
+        # 'a' sorts before '~', but '~' comes first in the text
+        raw = wide.char(69) + wide.char(0) + wide.char(3) + "~" + wide.char(1) + "a"
+        with pytest.raises(UnknownCharacter) as exc:
+            parse_solid(raw, wide)
+        assert exc.value.position == 4
+        assert parse_solid(raw[:3], wide).ranks.tolist() == [69, 0, 3]
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+    )
+    def test_copies_stay_read_only(self, golden_pattern, clone):
+        s = clone(golden_pattern)
+        assert s == golden_pattern and hash(s) == hash(golden_pattern)
+        with pytest.raises(ValueError):
+            s.ranks[0] = 3
 
     def test_parse_solid_matches_bracket_on_plain_strings(self, abcd):
         assert parse_solid("dacdab", abcd) == parse_bracket("dacdab", abcd)

@@ -6,6 +6,7 @@ import pytest
 import degmatch.matcher as matcher
 from degmatch import (
     Alphabet,
+    DegenerateSymbol,
     EmptyPattern,
     FAKE,
     REAL,
@@ -35,11 +36,11 @@ GOLDEN_TABLE = [
 
 
 def pipeline(pattern, text):
-    """Stages 1 and 2 as find_occurrences runs them, with the
-    intermediates returned for inspection."""
-    sub_p, sub_t, index = prepare(pattern, text)
-    table, approx = kangaroo_search(sub_p, sub_t.ranks, index)
-    return sub_p, sub_t, table, approx
+    """The index and stage 2 as find_occurrences runs them, returned for
+    inspection."""
+    index = prepare(pattern, text)
+    table, approx = kangaroo_search(pattern, text, index)
+    return index, table, approx
 
 
 def window_budgets(pattern, text):
@@ -115,76 +116,91 @@ ADVERSARIAL = {
 
 class TestSubstitute:
     def test_golden_pattern(self, abcd, golden_pattern):
-        sub = substitute(golden_pattern)
-        assert sub.ranks.tolist() == [0, 4, 3, 0, 5]
-        assert sub.placeholder_positions == (2, 5)
-        assert [s.chars() for s in sub.original_sets] == ["bc", "bd"]
+        assert golden_pattern.ranks.tolist() == [0, 4, 3, 0, 5]
+        assert golden_pattern.non_solid_positions == (2, 5)
+        sets = [DegenerateSymbol(abcd, mask).chars() for mask in golden_pattern.sets]
+        assert sets == ["bc", "bd"]
 
     def test_solid_pattern_unchanged(self, abcd):
-        sub = substitute(parse_solid("abc", abcd))
-        assert sub.ranks.tolist() == [0, 1, 2]
-        assert sub.k == 0
+        s = parse_solid("abc", abcd)
+        assert s.ranks.tolist() == [0, 1, 2]
+        assert s.sets == ()
 
     def test_single_non_solid(self, abcd):
-        sub = substitute(parse_bracket("[ab]", abcd))
-        assert sub.ranks.tolist() == [4]
-        assert sub.placeholder_positions == (1,)
+        s = parse_bracket("[ab]", abcd)
+        assert s.ranks.tolist() == [4]
+        assert s.non_solid_positions == (1,)
 
     def test_rank_offset(self, abcd):
-        sub = substitute(parse_bracket("[ab]c[cd]", abcd), first_placeholder_rank=9)
-        assert sub.ranks.tolist() == [9, 2, 10]
+        ranks = substitute(parse_bracket("[ab]c[cd]", abcd), first_placeholder_rank=9)
+        assert ranks.tolist() == [9, 2, 10]
 
     def test_ranks_immutable(self, golden_pattern):
-        sub = substitute(golden_pattern)
         with pytest.raises(ValueError):
-            sub.ranks[0] = 3
+            golden_pattern.ranks[0] = 3
+
+
+def _members(rows):
+    """Membership rows unpacked to one bool per alphabet rank."""
+    return np.unpackbits(rows, axis=1, bitorder="little").astype(bool)
 
 
 class TestMembership:
     def test_golden_sets(self, abcd, golden_pattern):
-        table = precompute_membership(substitute(golden_pattern))
-        assert table.shape == (2, 4)
-        assert table[0, abcd.rank("b")] and table[0, abcd.rank("c")]
-        assert not table[0, abcd.rank("a")]
-        assert table[1, abcd.rank("d")]
-        assert not table[1, abcd.rank("c")]
+        rows = precompute_membership(golden_pattern)
+        assert rows.shape == (4 + 2, 1)
+        members = _members(rows)
+        assert (members[:4, :4] == np.eye(4, dtype=bool)).all()  # the base symbols
+        bc, bd = members[golden_pattern.ranks[[1, 4]]]
+        assert bc[abcd.rank("b")] and bc[abcd.rank("c")]
+        assert not bc[abcd.rank("a")]
+        assert bd[abcd.rank("d")]
+        assert not bd[abcd.rank("c")]
 
     def test_solid_pattern_empty_table(self, abcd):
-        table = precompute_membership(substitute(parse_solid("ab", abcd)))
-        assert table.shape == (0, 4)
+        # no set rows after the four base rows
+        rows = precompute_membership(parse_solid("ab", abcd))
+        assert rows.shape == (4, 1)
+
+    def test_wide_alphabet(self):
+        s = parse_bracket(WIDE.char(69) + "[" + WIDE.char(1) + WIDE.char(69) + "]", WIDE)
+        members = _members(precompute_membership(s))
+        assert members.shape == (70 + 1, 72)
+        assert members[s.ranks[0]].nonzero()[0].tolist() == [69]
+        assert members[s.ranks[1]].nonzero()[0].tolist() == [1, 69]
 
 
 class TestKangarooSearch:
     def test_golden_table(self, golden_pattern, golden_text):
-        _, _, table, approx = pipeline(golden_pattern, golden_text)
+        _, table, approx = pipeline(golden_pattern, golden_text)
         assert table.entries.T.tolist() == GOLDEN_TABLE
         assert approx == (1, 4, 10)
 
     def test_golden_column_seven(self, golden_pattern, golden_text):
-        _, _, table, _ = pipeline(golden_pattern, golden_text)
+        _, table, _ = pipeline(golden_pattern, golden_text)
         assert table.column(7) == (2, 3, 5)
 
     def test_sentinel_in_approximate_columns(self, golden_pattern, golden_text):
-        _, _, table, _ = pipeline(golden_pattern, golden_text)
+        _, table, _ = pipeline(golden_pattern, golden_text)
         for i in (1, 4, 10):
             assert table.entry(i, 3) == 6 == table.sentinel
 
     def test_solid_exact_matching(self, abcd):
         pattern = parse_solid("aa", abcd)
         text = parse_solid("aaa", abcd)
-        _, _, table, approx = pipeline(pattern, text)
+        _, table, approx = pipeline(pattern, text)
         assert table.entries[:, 0].tolist() == [3, 3]
         assert approx == (0, 1)
 
     def test_query_count_exact_for_solid_text(self, golden_pattern, golden_text):
-        _, _, table, _ = pipeline(golden_pattern, golden_text)
+        _, table, _ = pipeline(golden_pattern, golden_text)
         assert table.query_count == 3 * 11
 
     def test_default_budget_counts_text_placeholders_in_window(self, abcd):
         # the window "a[bc]" mismatches at its text placeholder, so a budget
         # of k_pattern = 0 alone would miss the occurrence
         pattern, text = parse_solid("ab", abcd), parse_bracket("a[bc]", abcd)
-        _, _, table, approx = pipeline(pattern, text)
+        _, table, approx = pipeline(pattern, text)
         assert approx == (0,)
         assert table.budget == 1
         assert find_occurrences(pattern, text).exact_occurrences == (1,)
@@ -195,7 +211,7 @@ class TestKangarooSearch:
         for _ in range(25):
             raw_pattern, raw_text, parse = ADVERSARIAL[family](rng)
             pattern, text = parse(raw_pattern), parse(raw_text)
-            _, _, table, approx = pipeline(pattern, text)
+            _, table, approx = pipeline(pattern, text)
             expected = naive_match(pattern, text)
             assert set(p - 1 for p in expected) <= set(approx), (raw_pattern, raw_text)
             budgets = window_budgets(pattern, text)
@@ -238,23 +254,23 @@ class TestKangarooSearch:
 
 class TestFilter:
     def test_golden_verdicts(self, golden_pattern, golden_text):
-        sub_p, sub_t, table, approx = pipeline(golden_pattern, golden_text)
-        report = filter_occurrences(sub_p, sub_t, table, approx, diagnostics=True)
+        _, table, approx = pipeline(golden_pattern, golden_text)
+        report = filter_occurrences(golden_pattern, golden_text, table, approx, diagnostics=True)
         assert report.exact_occurrences == (2, 5)
         assert report.verdicts == ((FAKE, FAKE), (FAKE, FAKE), (FAKE, REAL))
 
     def test_solid_pattern_everything_exact(self, abcd):
         pattern = parse_solid("aa", abcd)
         text = parse_solid("aaa", abcd)
-        sub_p, sub_t, table, approx = pipeline(pattern, text)
-        report = filter_occurrences(sub_p, sub_t, table, approx)
+        _, table, approx = pipeline(pattern, text)
+        report = filter_occurrences(pattern, text, table, approx)
         assert report.exact_occurrences == (1, 2)
 
     def test_no_approximate_occurrences(self, abcd):
         pattern = parse_solid("ab", abcd)
         text = parse_solid("dddd", abcd)
-        sub_p, sub_t, table, approx = pipeline(pattern, text)
-        report = filter_occurrences(sub_p, sub_t, table, approx)
+        _, table, approx = pipeline(pattern, text)
+        report = filter_occurrences(pattern, text, table, approx)
         assert report.exact_occurrences == () and report.approximate_occurrences == ()
 
     @pytest.mark.parametrize("raw_text,verdicts", [
@@ -284,8 +300,8 @@ class TestFilter:
                 seed=trial,
             )
             pattern, text = generate_instance(spec)
-            sub_p, sub_t, table, approx = pipeline(pattern, text)
-            report = filter_occurrences(sub_p, sub_t, table, approx, diagnostics=True)
+            _, table, approx = pipeline(pattern, text)
+            report = filter_occurrences(pattern, text, table, approx, diagnostics=True)
             assert report.approximate_occurrences == approx
             for i, verdicts in zip(approx, report.verdicts):
                 expected = tuple(
@@ -350,7 +366,7 @@ class TestFindOccurrences:
         # the window's budget; the filter must still reject it
         pattern = parse_bracket("a[bc]", abcd)
         text = parse_bracket("d[cd]", abcd)
-        _, _, table, approx = pipeline(pattern, text)
+        _, table, approx = pipeline(pattern, text)
         # solid mismatch at 1, placeholder against placeholder at 2: b_0 = 2
         assert approx == (0,) and table.column(0) == (1, 2, 3)
         report = find_occurrences(pattern, text)
@@ -392,15 +408,15 @@ class TestStructuralInvariants:
         # with a solid text an approximate occurrence mismatches at every
         # placeholder position and nowhere else
         for pattern, text in self._random_solid_instances():
-            sub_p, sub_t, table, approx = pipeline(pattern, text)
-            expected = set(sub_p.placeholder_positions)
+            _, table, approx = pipeline(pattern, text)
+            expected = set(pattern.non_solid_positions)
             for i in approx:
                 entries = {e for e in table.column(i) if e != table.sentinel}
                 assert entries == expected
 
     def test_rows_strictly_increase_until_sentinel(self):
         for pattern, text in self._random_solid_instances(60):
-            _, _, table, _ = pipeline(pattern, text)
+            _, table, _ = pipeline(pattern, text)
             for i in range(table.alignments):
                 row = table.column(i)
                 for a, b in zip(row, row[1:]):
@@ -408,11 +424,12 @@ class TestStructuralInvariants:
 
     def test_non_sentinel_entries_are_real_text_mismatches(self):
         for pattern, text in self._random_solid_instances(60):
-            sub_p, sub_t, table, _ = pipeline(pattern, text)
+            index, table, _ = pipeline(pattern, text)
+            n = len(text)
             for i in range(table.alignments):
                 for e in table.column(i):
                     if e != table.sentinel:
-                        assert sub_t.ranks[i + e - 1] != sub_p.ranks[e - 1]
+                        assert index.seq[i + e - 1] != index.seq[n + e - 1]
 
     def test_degenerate_text_entries_enumerate_all_window_mismatches(self):
         rng = random.Random(123)
@@ -423,11 +440,14 @@ class TestStructuralInvariants:
                 max_set_size=2, seed=trial,
             )
             pattern, text = generate_instance(spec)
-            sub_p, sub_t, table, approx = pipeline(pattern, text)
+            # the index holds the text's placeholders moved past the
+            # pattern's; the parsed ranks of the two can coincide
+            index, table, approx = pipeline(pattern, text)
+            n = len(text)
             for i in approx:
                 entries = {e for e in table.column(i) if e != table.sentinel}
                 window_mismatches = {
                     e for e in range(1, len(pattern) + 1)
-                    if sub_t.ranks[i + e - 1] != sub_p.ranks[e - 1]
+                    if index.seq[i + e - 1] != index.seq[n + e - 1]
                 }
                 assert entries == window_mismatches
