@@ -11,7 +11,7 @@ also under ``python -O``.
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .matcher import prepare, search
 from .oracle import RandomInstanceSpec, generate_instance
@@ -51,23 +51,12 @@ class BenchCell:
 class ScalingReport:
     cells: tuple[BenchCell, ...] = field(default_factory=tuple)
 
-    _COLUMNS = (
-        "n", "m", "k", "sigma", "reps",
-        "build_ms", "search_ms", "lce_queries", "query_bound", "occurrences",
-    )
-
     def to_tsv(self) -> str:
-        lines = ["\t".join(self._COLUMNS)]
+        names = [f.name for f in fields(BenchCell)]
+        lines = ["\t".join(names)]
         for c in self.cells:
-            lines.append(
-                "\t".join(
-                    str(v) if isinstance(v, int) else f"{v:.3f}"
-                    for v in (
-                        c.n, c.m, c.k, c.sigma, c.reps,
-                        c.build_ms, c.search_ms, c.lce_queries, c.query_bound, c.occurrences,
-                    )
-                )
-            )
+            values = (getattr(c, name) for name in names)
+            lines.append("\t".join(str(v) if isinstance(v, int) else f"{v:.3f}" for v in values))
         return "\n".join(lines)
 
     def cell(self, n: int, k: int) -> BenchCell:

@@ -107,7 +107,7 @@ def _read(path: str) -> str:
 def _collect_chars(raw: str, syntax: str) -> set:
     chars = set(raw)
     chars -= {c for c in chars if c.isspace()}
-    if syntax in ("bracket",):
+    if syntax == "bracket":
         chars -= _BRACKET_METACHARS
     return chars
 
@@ -153,15 +153,16 @@ def _emit(record_id, report, pattern_length, fmt, diagnostics, out) -> None:
     verdict_of = {}
     if diagnostics and report.verdicts is not None:
         verdict_of = dict(zip(report.approximate_occurrences, report.verdicts))
+    lines = []
     for pos in report.exact_occurrences:
         if fmt == "positions":
             prefix = f"{record_id}:" if record_id is not None else ""
-            out.write(f"{prefix}{pos}\n")
+            lines.append(f"{prefix}{pos}\n")
         elif fmt == "tsv":
             row = [record_id if record_id is not None else "-", str(pos)]
             if diagnostics:
                 row.append(",".join(verdict_of.get(pos - 1, ())))
-            out.write("\t".join(row) + "\n")
+            lines.append("\t".join(row) + "\n")
         else:  # json-lines
             obj = {
                 "record": record_id if record_id is not None else "-",
@@ -170,7 +171,8 @@ def _emit(record_id, report, pattern_length, fmt, diagnostics, out) -> None:
             }
             if diagnostics:
                 obj["verdicts"] = list(verdict_of.get(pos - 1, ()))
-            out.write(json.dumps(obj) + "\n")
+            lines.append(json.dumps(obj) + "\n")
+    out.write("".join(lines))
 
 
 def run(config: RunConfig, out=None, err=None, stdin=None) -> int:

@@ -1,13 +1,17 @@
 """Constant-time longest-common-extension queries over a rank sequence.
 
-The index is a suffix array (prefix doubling over numpy lexsorts,
-O(L log L)), the adjacent-suffix LCP array (Kasai, O(L)), and a
-block-decomposed sparse table for range-minimum queries: per-block
-prefix/suffix minima plus a sparse table over block minima keep the hot
-query structures small enough to stay cache-resident at large L, with a
-short-span table covering ranges inside one block. ``lce(i, j)`` then
-equals the string depth of the suffix-tree LCA of the two suffixes,
-answered in O(1).
+One prefix-doubling pass (O(L log L), a stable numpy sort per round)
+builds the whole index. Round d names every suffix's 2^d-prefix, the
+Karp-Miller-Rosenberg names of Manber and Myers: equal names mean equal
+prefixes. The last round orders the suffixes, and its names, all
+distinct, are their ranks. The adjacent-suffix LCP array comes from the
+same rounds by binary lifting, one vectorized pass per round. A
+block-decomposed sparse table answers range-minimum queries over it:
+per-block prefix/suffix minima plus a sparse table over block minima
+keep the hot query structures small enough to stay cache-resident at
+large L, with a short-span table covering ranges inside one block.
+``lce(i, j)`` then equals the string depth of the suffix-tree LCA of the
+two suffixes, answered in O(1).
 """
 
 import numpy as np
@@ -23,48 +27,71 @@ class SeparatorNotUnique(ValueError):
     pass
 
 
-def _suffix_array(seq: np.ndarray) -> np.ndarray:
-    """Suffix order by prefix doubling; stable lexsort per round."""
+def _suffix_array(seq: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Suffix order by prefix doubling, and every round's int32 names.
+
+    ``levels[d][p]`` names the 2^d-prefix of the suffix at ``p``. Each
+    round sorts on (name, name 2^d further on), with the keys taken in the
+    previous round's order, so the stable sort only has to order the runs
+    of equal names. Doubling stops once every name is distinct.
+    """
     length = len(seq)
-    order = np.argsort(seq, kind="stable").astype(np.int64)
-    ranks = np.empty(length, dtype=np.int64)
+    order = np.argsort(seq, kind="stable")
     sorted_keys = seq[order]
-    changed = np.empty(length, dtype=np.int64)
+    levels = []
+    changed = np.empty(length, dtype=np.int32)
     changed[0] = 0
-    changed[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    ranks[order] = np.cumsum(changed)
-
     h = 1
-    while h < length and ranks[order[-1]] != length - 1:
-        second = np.full(length, -1, dtype=np.int64)
-        second[: length - h] = ranks[h:]
-        order = np.lexsort((second, ranks))
-        first_s = ranks[order]
-        second_s = second[order]
-        changed[0] = 0
-        changed[1:] = (first_s[1:] != first_s[:-1]) | (second_s[1:] != second_s[:-1])
-        ranks[order] = np.cumsum(changed)
+    while True:
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=changed[1:])
+        sorted_names = np.cumsum(changed, dtype=np.int32)
+        names = np.empty(length, dtype=np.int32)
+        names[order] = sorted_names
+        levels.append(names)
+        if sorted_names[-1] == length - 1:
+            return order.astype(np.int32), levels
+        key = names.astype(np.int64) * (length + 1)
+        key[: length - h] += names[h:] + 1
+        key = key[order]
+        step = np.argsort(key, kind="stable")
+        order = order[step]
+        sorted_keys = key[step]
         h *= 2
-    return order.astype(np.int32)
 
 
-def _lcp_array(seq: list, sa: list, rank: list) -> list:
-    """Kasai's algorithm; lcp[r] = LCP of suffixes ranked r-1 and r."""
-    length = len(seq)
-    lcp = [0] * length
-    h = 0
-    for i in range(length):
-        r = rank[i]
-        if r == 0:
-            h = 0
-            continue
-        j = sa[r - 1]
-        while i + h < length and j + h < length and seq[i + h] == seq[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
+def _lcp_array(order: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
+    """lcp[r] = LCP of the suffixes ranked r-1 and r, by binary lifting.
+
+    From the highest round down, a pair whose 2^d-prefixes at its current
+    extension share a name extends by 2^d. The last round's names are all
+    distinct, so lifting starts one round below it. A common prefix never
+    reaches the unique separator, so no offset runs past the end.
+    """
+    lcp = np.zeros(order.size, dtype=np.int32)
+    ext = lcp[1:]
+    left, right = order[:-1], order[1:]
+    for d in range(len(levels) - 2, -1, -1):
+        names = levels[d]
+        ext += (names[left + ext] == names[right + ext]) * np.int32(1 << d)
     return lcp
+
+
+def _sparse_table(values: np.ndarray, levels: int) -> np.ndarray:
+    """table[d, i] = min(values[i : i + 2^d]), clipped at the end."""
+    table = np.empty((levels, values.size), dtype=np.int32)
+    table[0] = values
+    for d in range(1, levels):
+        half = 1 << (d - 1)
+        table[d] = table[d - 1]
+        np.minimum(table[d, :-half], table[d - 1, half:], out=table[d, :-half])
+    return table
+
+
+def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(values[lo..hi]) per pair, inclusive, from two overlapping
+    power-of-two spans of ``_sparse_table(values, ...)``."""
+    d = (np.frexp(hi - lo + 1)[1] - 1).astype(np.int64)
+    return np.minimum(table[d, lo], table[d, hi - (np.int64(1) << d) + 1])
 
 
 _BLOCK_BITS = 5
@@ -85,24 +112,19 @@ class LceIndex:
         "_short", "_prefix_min", "_suffix_min", "_block_table",
     )
 
-    def __init__(self, seq, separator: int | None = None):
+    def __init__(self, seq):
         arr = np.ascontiguousarray(seq, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise MissingSeparator("sequence is empty; it must end with the separator")
-        sep = int(arr[-1]) if separator is None else int(separator)
-        if int(arr[-1]) != sep:
-            raise MissingSeparator(f"sequence does not end with separator rank {sep}")
+        sep = int(arr[-1])
         if int(np.count_nonzero(arr == sep)) != 1:
             raise SeparatorNotUnique(f"separator rank {sep} occurs more than once")
 
         self.seq = arr
         self.length = int(arr.size)
-        self.suffix_order = _suffix_array(arr)
-        rank = np.empty(self.length, dtype=np.int32)
-        rank[self.suffix_order] = np.arange(self.length, dtype=np.int32)
-        self.rank = rank
-        lcp_list = _lcp_array(arr.tolist(), self.suffix_order.tolist(), rank.tolist())
-        self.lcp = np.asarray(lcp_list, dtype=np.int32)
+        self.suffix_order, levels = _suffix_array(arr)
+        self.rank = levels[-1]
+        self.lcp = _lcp_array(self.suffix_order, levels)
         self._build_rmq(self.lcp)
         for a in (
             self.seq, self.suffix_order, self.rank, self.lcp,
@@ -118,18 +140,7 @@ class LceIndex:
         from a sparse table over blocks, and a block-prefix minimum.
         """
         length = lcp.size
-        short_levels = min(_BLOCK_BITS + 1, max(1, length.bit_length()))
-        short = np.empty((short_levels, length), dtype=np.int32)
-        short[0] = lcp
-        for d in range(1, short_levels):
-            half = 1 << (d - 1)
-            valid = length - (1 << d) + 1
-            if valid > 0:
-                np.minimum(short[d - 1, :valid], short[d - 1, half : half + valid], out=short[d, :valid])
-                short[d, valid:] = short[d - 1, valid:]
-            else:
-                short[d] = short[d - 1]
-        self._short = short
+        self._short = _sparse_table(lcp, min(_BLOCK_BITS + 1, max(1, length.bit_length())))
 
         blocks = (length + _BLOCK - 1) >> _BLOCK_BITS
         padded = np.full(blocks << _BLOCK_BITS, np.iinfo(np.int32).max, dtype=np.int32)
@@ -139,20 +150,7 @@ class LceIndex:
         self._suffix_min = (
             np.minimum.accumulate(grid[:, ::-1], axis=1)[:, ::-1].reshape(-1)[:length]
         )
-
-        block_min = grid.min(axis=1)
-        levels = max(1, int(blocks).bit_length())
-        table = np.empty((levels, blocks), dtype=np.int32)
-        table[0] = block_min
-        for d in range(1, levels):
-            half = 1 << (d - 1)
-            valid = blocks - (1 << d) + 1
-            if valid > 0:
-                np.minimum(table[d - 1, :valid], table[d - 1, half : half + valid], out=table[d, :valid])
-                table[d, valid:] = table[d - 1, valid:]
-            else:
-                table[d] = table[d - 1]
-        self._block_table = table
+        self._block_table = _sparse_table(grid.min(axis=1), max(1, int(blocks).bit_length()))
 
     def _check(self, off: int) -> None:
         if not 0 <= off < self.length:
@@ -187,13 +185,7 @@ class LceIndex:
 
         short = np.flatnonzero(span <= _BLOCK)
         if short.size:
-            slo = lo[short]
-            shi = hi[short]
-            d = (np.frexp(span[short])[1] - 1).astype(np.int64)
-            out[short] = np.minimum(
-                self._short[d, slo],
-                self._short[d, shi - (np.int64(1) << d) + 1],
-            )
+            out[short] = _range_min(self._short, lo[short], hi[short])
 
         long = np.flatnonzero(span > _BLOCK)
         if long.size:
@@ -204,13 +196,7 @@ class LceIndex:
             bh = (lhi >> _BLOCK_BITS) - 1
             inner = np.flatnonzero(bl <= bh)
             if inner.size:
-                il = bl[inner]
-                ih = bh[inner]
-                d = (np.frexp(ih - il + 1)[1] - 1).astype(np.int64)
-                inner_min = np.minimum(
-                    self._block_table[d, il],
-                    self._block_table[d, ih - (np.int64(1) << d) + 1],
-                )
+                inner_min = _range_min(self._block_table, bl[inner], bh[inner])
                 edge[inner] = np.minimum(edge[inner], inner_min)
             out[long] = edge
 

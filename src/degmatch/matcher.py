@@ -215,7 +215,7 @@ def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
     seq = np.concatenate(
         [substitute(text, sigma + k_p), pattern.ranks, np.asarray([separator], dtype=np.int32)]
     )
-    return LceIndex(seq, separator=separator)
+    return LceIndex(seq)
 
 
 def search(

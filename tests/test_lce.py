@@ -52,10 +52,6 @@ class TestBuild:
         with pytest.raises(MissingSeparator):
             LceIndex([])
 
-    def test_declared_separator_must_be_final(self):
-        with pytest.raises(MissingSeparator):
-            LceIndex([0, 1, 2], separator=5)
-
     def test_separator_must_be_unique(self):
         with pytest.raises(SeparatorNotUnique):
             LceIndex([2, 0, 2])
@@ -63,6 +59,41 @@ class TestBuild:
     def test_single_symbol(self):
         idx = LceIndex([0])
         assert idx.lce(0, 0) == 1
+
+
+def naive_index(seq):
+    """Suffix order, rank and adjacent-suffix LCP by sorting the suffixes."""
+    order = sorted(range(len(seq)), key=lambda p: seq[p:])
+    rank = [0] * len(seq)
+    for r, p in enumerate(order):
+        rank[p] = r
+    lcp = [0] + [naive_lce(seq, a, b) for a, b in zip(order, order[1:])]
+    return order, rank, lcp
+
+
+# doubling stops at the first round whose names are all distinct, so the
+# number of rounds changes around powers of two on sigma = 1
+NAIVE_SORT_CASES = {
+    "length-1": [0],
+    "period-2": [0, 1] * 9 + [2],
+    "period-3": [0, 1, 2] * 7 + [0, 3],
+    "all-distinct": [4, 1, 7, 0, 3, 6, 2, 5],
+    **{
+        f"sigma-{sigma}-length-{length}": random_sequence(random.Random(length), length, sigma)
+        for sigma in (1, 2)
+        for j in (3, 4, 5, 6)
+        for length in (2**j - 1, 2**j, 2**j + 1)
+    },
+}
+
+
+@pytest.mark.parametrize("seq", NAIVE_SORT_CASES.values(), ids=NAIVE_SORT_CASES.keys())
+def test_arrays_match_naive_suffix_sort(seq):
+    idx = LceIndex(seq)
+    order, rank, lcp = naive_index(seq)
+    assert idx.suffix_order.tolist() == order
+    assert idx.rank.tolist() == rank
+    assert idx.lcp.tolist() == lcp
 
 
 class TestQueries:
@@ -93,7 +124,7 @@ class TestQueries:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("length,sigma,seed", [
         (2, 1, 1), (3, 2, 2), (8, 2, 3), (16, 3, 4), (33, 2, 5),
-        (64, 4, 6), (128, 2, 7),
+        (64, 4, 6), (128, 2, 7), (300, 1, 8), (257, 1, 9),
     ])
     def test_all_pairs_small(self, length, sigma, seed):
         seq = random_sequence(random.Random(seed), length, sigma)
