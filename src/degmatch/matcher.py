@@ -22,6 +22,14 @@ pattern placeholders.
 Three entry points run the stages: ``prepare`` builds the LCE index over
 both strings' ranks, ``search`` runs stages 2 and 3 with that index, and
 ``find_occurrences`` checks its inputs and chains the two.
+
+Memory: the index is O(n + m). ``search`` runs stages 2 and 3 on one
+block of consecutive alignments at a time, so its mismatch table holds
+at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
+single alignment's budget is wider than that; the block's round
+temporaries are O(block rows). The per-window budgets (one int32 per
+alignment, on a degenerate text) and the membership rows are built once
+per search.
 """
 
 from dataclasses import dataclass
@@ -33,6 +41,13 @@ from .lce import LceIndex
 
 FAKE = "fake"
 REAL = "real"
+
+#: Most int32 cells in the mismatch table of one block of alignments.
+#: Blocks this small keep a block's table and round temporaries in cache
+#: and let the allocator reuse them from block to block. On a 2-vCPU
+#: Xeon, blocks of 2^16 and of 2^20 cells both searched the benchmark's
+#: dna-random and tandem-repeat inputs more slowly than 2^18.
+BLOCK_CELLS = 1 << 18
 
 
 def substitute(s: DegenerateString, first_placeholder_rank: int) -> np.ndarray:
@@ -54,21 +69,30 @@ def precompute_membership(s: DegenerateString) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MismatchTable:
-    """First ``b_i + 1`` mismatch positions per alignment i.
+    """First ``b_i + 1`` mismatch positions per alignment i of one block.
 
-    ``entries[i, j-1]`` is the 1-based pattern position of the j-th
-    mismatch between the text window at alignment i and the substituted
-    pattern, or the sentinel m+1 once the window has matched through the
-    end of the pattern. ``budget`` is the largest per-alignment budget,
-    so the table is ``budget + 1`` columns wide. Columns past an
-    alignment's own budget b_i were never searched and hold the sentinel;
-    alignment i is approximate iff ``entries[i, b_i]`` is the sentinel.
+    The block covers alignments ``first .. first + alignments - 1``, and
+    ``entries[i - first, j-1]`` is the 1-based pattern position of the
+    j-th mismatch between the text window at alignment i and the
+    substituted pattern, or the sentinel m+1 once the window has matched
+    through the end of the pattern. ``budget`` is the block's largest
+    per-alignment budget, so the table is ``budget + 1`` columns wide.
+    Columns past an alignment's own budget b_i were never searched and
+    hold the sentinel; alignment i is approximate iff its column b_i
+    holds the sentinel.
+
+    Beside the O(n + m) index, a search holds one such table at a time,
+    and ``search`` sizes its blocks so that each table has at most
+    ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a single
+    budget is wider. ``kangaroo_search`` over the full range, as the
+    tests call it, gives one table for all n - m + 1 alignments.
     """
 
-    entries: np.ndarray  # shape (n - m + 1, budget + 1)
+    entries: np.ndarray  # shape (alignments in the block, budget + 1)
     m: int
     budget: int
     query_count: int
+    first: int
 
     def __post_init__(self):
         self.entries.flags.writeable = False
@@ -83,41 +107,66 @@ class MismatchTable:
 
     def entry(self, i: int, j: int) -> int:
         """Position of the j-th mismatch (j is 1-based) at alignment i."""
-        return int(self.entries[i, j - 1])
+        return int(self.entries[i - self.first, j - 1])
 
     def column(self, i: int) -> tuple[int, ...]:
         """All budget+1 mismatch entries for alignment i."""
-        return tuple(int(x) for x in self.entries[i])
+        return tuple(int(x) for x in self.entries[i - self.first])
+
+
+def window_budgets(pattern: DegenerateString, text: DegenerateString) -> int | np.ndarray:
+    """The kangaroo budget b_i = min(m, k_pattern + t_i) of every
+    alignment i, where t_i counts the text placeholders inside window i:
+    an int32 array over the n - m + 1 alignments, or the int k_pattern
+    when the text is solid and every alignment shares it."""
+    m, n = len(pattern), len(text)
+    k_pattern = len(pattern.sets)
+    if not text.sets:
+        return k_pattern
+    placeholders = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(text.ranks >= len(text.alphabet), out=placeholders[1:])
+    in_window = placeholders[m:] - placeholders[: n - m + 1]
+    return np.minimum(in_window, m - k_pattern) + k_pattern
 
 
 def kangaroo_search(
-    pattern: DegenerateString, text: DegenerateString, index: LceIndex
+    pattern: DegenerateString,
+    text: DegenerateString,
+    index: LceIndex,
+    alignments: range | None = None,
+    budgets: int | np.ndarray | None = None,
 ) -> tuple[MismatchTable, tuple[int, ...]]:
-    """Scan all alignments, jumping past each mismatch with one LCE query.
+    """Scan a range of alignments, all of them by default, jumping past
+    each mismatch with one LCE query.
 
     ``index`` comes from ``prepare``: it is built over text + pattern +
     separator, with the text's placeholder ranks distinct from the
     pattern's, and the pattern is no longer than the text. Alignment i
     makes at most b_i + 1 jumps and is an approximate occurrence when one
     of them reaches the sentinel m+1, i.e. the window matched the whole
-    pattern with at most b_i mismatches. b_i = min(m, k_pattern + t_i),
-    where t_i counts the text placeholders inside window i. Sum of
-    (b_i + 1) queries in total, at most (k_total + 1)(n - m + 1), each O(1).
+    pattern with at most b_i mismatches. ``budgets`` is
+    ``window_budgets(pattern, text)``, computed here when not given.
+    Sum of (b_i + 1) queries over the range, at most
+    (k_total + 1)(n - m + 1) in total, each O(1). Returns the range's
+    table and its approximate alignments.
     """
     m = len(pattern)
     n = len(text)
-    k = k_pattern = len(pattern.sets)
     sentinel = m + 1
-    count = n - m + 1
-    budgets = None  # None: every alignment has the scalar budget k
-    if text.sets:
-        placeholders = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(text.ranks >= len(text.alphabet), out=placeholders[1:])
-        in_window = placeholders[m:] - placeholders[:count]
-        budgets = np.minimum(in_window, m - k_pattern) + k_pattern
+    if alignments is None:
+        alignments = range(n - m + 1)
+    if budgets is None:
+        budgets = window_budgets(pattern, text)
+    lo, count = alignments.start, len(alignments)
+    per_window = isinstance(budgets, np.ndarray)
+    if per_window:
+        budgets = budgets[lo : lo + count]
         k = int(budgets.max())
+    else:
+        k = budgets  # every alignment has the scalar budget k
 
-    entries = np.full((count, k + 1), sentinel, dtype=np.int32)
+    # round j writes row j, so each round's scatter stays within one row
+    entries = np.full((k + 1, count), sentinel, dtype=np.int32)
     f = np.zeros(count, dtype=np.int64)
     active = np.arange(count, dtype=np.int64)
     queries = 0
@@ -125,19 +174,19 @@ def kangaroo_search(
         if active.size == 0:
             break
         fa = f[active]
-        q = index.lce_many(active + fa, n + fa)
+        q = index.lce_many(active + fa + lo, n + fa)
         queries += int(active.size)
         np.minimum(q, m - fa, out=q)  # never extend past the pattern end
         mm = fa + q + 1
-        entries[active, j] = mm
+        entries[j, active] = mm
         f[active] = mm
-        if budgets is None:
-            active = active[mm != sentinel]
-        else:
+        if per_window:
             active = active[(mm != sentinel) & (budgets[active] > j)]
+        else:
+            active = active[mm != sentinel]
 
-    approx = np.flatnonzero(f == sentinel)  # the last jump reached the end
-    table = MismatchTable(entries=entries, m=m, budget=k, query_count=queries)
+    approx = np.flatnonzero(f == sentinel) + lo  # the last jump reached the end
+    table = MismatchTable(entries=entries.T, m=m, budget=k, query_count=queries, first=lo)
     return table, tuple(approx.tolist())
 
 
@@ -168,24 +217,30 @@ def filter_occurrences(
     table: MismatchTable,
     approx: tuple[int, ...],
     diagnostics: bool = False,
+    membership: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MatchReport:
-    """Stage 3: an approximate occurrence at alignment i is exact iff at
-    every recorded mismatch e the pattern set and the text set at i+e
-    intersect (every mismatch is fake).
+    """Stage 3 on one table: an approximate occurrence at alignment i is
+    exact iff at every recorded mismatch e the pattern set and the text
+    set at i+e intersect (every mismatch is fake).
 
     Each string's sets are looked up in its own membership rows by its
     own ranks. Rows are bit-packed, so an intersection test is one
-    byte-wise AND for any alphabet size.
+    byte-wise AND for any alphabet size. ``membership`` is the pair of
+    ``precompute_membership`` rows of the pattern and the text, built
+    here when not given.
     """
+    if membership is None:
+        membership = precompute_membership(pattern), precompute_membership(text)
+    pattern_rows, text_rows = membership
     rows = np.asarray(approx, dtype=np.int64)
     # column b_i of an approximate row is the sentinel, so the last column
     # never holds a mismatch
-    mismatches = table.entries[rows, : table.budget]
+    mismatches = table.entries[rows - table.first, : table.budget]
     recorded = mismatches != table.sentinel
     offsets = np.where(recorded, mismatches, 1) - 1  # 0-based pattern offsets
     shared = (
-        precompute_membership(pattern)[pattern.ranks[offsets]]
-        & precompute_membership(text)[text.ranks[rows[:, None] + offsets]]
+        pattern_rows[pattern.ranks[offsets]]
+        & text_rows[text.ranks[rows[:, None] + offsets]]
     )
     fake = shared.any(axis=2) | ~recorded
     exact = rows[fake.all(axis=1)] + 1
@@ -218,6 +273,17 @@ def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
     return LceIndex(seq)
 
 
+def _block_rows(budgets: int | np.ndarray, lo: int) -> int:
+    """Alignments in the block that starts at alignment ``lo``: the most
+    whose widest budget b keeps the block's table, rows x (b + 1) cells,
+    within ``BLOCK_CELLS``, and at least one."""
+    if not isinstance(budgets, np.ndarray):
+        return max(1, BLOCK_CELLS // (budgets + 1))
+    ahead = budgets[lo : lo + max(1, BLOCK_CELLS // (int(budgets[lo]) + 1))]
+    widths = np.maximum.accumulate(ahead) + 1
+    return max(1, int(np.count_nonzero(widths * np.arange(1, ahead.size + 1) <= BLOCK_CELLS)))
+
+
 def search(
     pattern: DegenerateString,
     text: DegenerateString,
@@ -225,9 +291,34 @@ def search(
     diagnostics: bool = False,
 ) -> MatchReport:
     """Stages 2 and 3 with the index from ``prepare``, for a pattern no
-    longer than the text: kangaroo jumps, then the verdict check."""
-    table, approx = kangaroo_search(pattern, text, index)
-    return filter_occurrences(pattern, text, table, approx, diagnostics=diagnostics)
+    longer than the text: kangaroo jumps, then the verdict check, one
+    block of consecutive alignments at a time.
+
+    A block holds as many alignments as keep its table within
+    ``BLOCK_CELLS`` cells at the width of its own widest budget, so a
+    few dense windows shrink only the blocks around them. On a solid
+    text every block has BLOCK_CELLS // (k_pattern + 1) alignments.
+    """
+    budgets = window_budgets(pattern, text)
+    membership = precompute_membership(pattern), precompute_membership(text)
+    count = len(text) - len(pattern) + 1
+    exact, approx, verdicts, queries = [], [], [], 0
+    lo = 0
+    while lo < count:
+        block = range(lo, min(lo + _block_rows(budgets, lo), count))
+        table, block_approx = kangaroo_search(pattern, text, index, block, budgets)
+        report = filter_occurrences(
+            pattern, text, table, block_approx, diagnostics, membership
+        )
+        exact += report.exact_occurrences
+        approx += report.approximate_occurrences
+        if diagnostics:
+            verdicts += report.verdicts
+        queries += report.lce_queries
+        lo = block.stop
+    return MatchReport(
+        tuple(exact), tuple(approx), tuple(verdicts) if diagnostics else None, queries
+    )
 
 
 def find_occurrences(
@@ -242,6 +333,9 @@ def find_occurrences(
     the search makes sum_i (b_i + 1) LCE queries, where
     b_i = min(m, k_pattern + text placeholders in window i): O(k_pattern * n)
     on a solid text and at most O(k_total * n) on a degenerate one.
+    Memory is the O(n + m) index plus one block's mismatch table of at
+    most ``BLOCK_CELLS`` = 2^18 int32 cells (one row when a single
+    budget is wider) and that block's O(rows) round temporaries.
     """
     if len(pattern) == 0:
         raise EmptyPattern("pattern must contain at least one symbol")

@@ -230,26 +230,109 @@ class TestKangarooSearch:
         raw_pattern = "".join(bases[5_000 : 5_000 + m])
         bases[rng.choice(np.setdiff1d(np.arange(n), np.arange(5_000, 5_000 + m)),
                          gaps, replace=False)] = "N"
-        pattern, text = parse_iupac(raw_pattern), parse_iupac("".join(bases))
+        searches, report = _blocked_search(monkeypatch, raw_pattern, bases)
+        assert report.lce_queries == sum(table.query_count for table, _ in searches)
+        assert any(5_000 in approx for _, approx in searches)
+        assert 5_001 in report.exact_occurrences
 
-        searches = []
+    def test_one_wide_gap_keeps_every_block_table_small(self, monkeypatch):
+        # one gap of 1,024 N's with m = 1,024 made one whole-text table of
+        # 18,977 x 1,025 cells (74 MiB)
+        n, m, gap = 20_000, 1_024, 1_024
+        rng = np.random.default_rng(20_000)
+        bases = np.array(list("ACGT"))[rng.integers(0, 4, n)]
+        raw_pattern = "".join(bases[5_000 : 5_000 + m])
+        bases[10_000 : 10_000 + gap] = "N"
+        searches, report = _blocked_search(monkeypatch, raw_pattern, bases)
+        b_max = max(table.budget for table, _ in searches)
+        assert b_max == m
+        assert max(table.entries.nbytes for table, _ in searches) <= (1 << 20) + (b_max + 1) * 4
+        assert any(5_000 in approx for _, approx in searches)
+        assert 5_001 in report.exact_occurrences
+
+
+def _blocked_search(monkeypatch, raw_pattern, bases):
+    """find_occurrences of ``raw_pattern`` in the DNA/N characters ``bases``,
+    with every kangaroo_search call recorded; checks that the blocks cover
+    every alignment once, each as wide as its own widest budget b_i + 1
+    and within BLOCK_CELLS cells (or one row), and each as long as those
+    cells allow."""
+    searches = []
+
+    def recording_search(*args, **kwargs):
+        searches.append(kangaroo_search(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(matcher, "kangaroo_search", recording_search)
+    pattern, text = parse_iupac(raw_pattern), parse_iupac("".join(bases))
+    report = find_occurrences(pattern, text)
+
+    m, count = len(raw_pattern), len(bases) - len(raw_pattern) + 1
+    in_window = np.convolve(bases == "N", np.ones(m, dtype=np.int64), mode="valid")
+    budgets = np.minimum(m, len(pattern.non_solid_positions) + in_window)
+    b_max = int(budgets.max())
+    assert len(text.non_solid_positions) == int(np.count_nonzero(bases == "N"))
+    covered = []
+    for table, _ in searches:
+        block = range(table.first, table.first + table.alignments)
+        covered.extend(block)
+        assert table.budget == int(budgets[block.start : block.stop].max())
+        assert table.entries.shape == (len(block), table.budget + 1)
+        assert table.entries.size <= max(matcher.BLOCK_CELLS, b_max + 1)
+        if block.stop < count:
+            # one more alignment would overflow the block's cells
+            wider = int(budgets[block.start : block.stop + 1].max()) + 1
+            assert (len(block) + 1) * wider > matcher.BLOCK_CELLS
+    assert covered == list(range(count))
+    return searches, report
+
+
+def _block_cases():
+    """Seeded (pattern, text) pairs: solid and degenerate random texts and
+    every adversarial family."""
+    rng = random.Random(2024)
+    for trial in range(60):
+        sigma = rng.choice([2, 4, 8])
+        m = rng.randint(1, 8)
+        spec = RandomInstanceSpec(
+            n=rng.randint(m, 120), m=m, sigma=sigma,
+            k_pattern=rng.randint(0, min(3, m)),
+            k_text=rng.randint(1, 6) if trial % 2 else 0,
+            max_set_size=2, seed=trial,
+        )
+        yield generate_instance(spec)
+    for family in sorted(ADVERSARIAL):
+        family_rng = random.Random(family)
+        for _ in range(8):
+            raw_pattern, raw_text, parse = ADVERSARIAL[family](family_rng)
+            yield parse(raw_pattern), parse(raw_text)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("cells", [1, 5, 64])
+    def test_block_size_does_not_change_the_report(self, monkeypatch, cells):
+        cases = list(_block_cases())
+        expected = [find_occurrences(p, t, diagnostics=True) for p, t in cases]
+        monkeypatch.setattr(matcher, "BLOCK_CELLS", cells)
+        blocks = []
 
         def recording_search(*args, **kwargs):
-            searches.append(kangaroo_search(*args, **kwargs))
-            return searches[-1]
+            table, approx = kangaroo_search(*args, **kwargs)
+            blocks[-1].append(table.alignments)
+            return table, approx
 
         monkeypatch.setattr(matcher, "kangaroo_search", recording_search)
-        report = find_occurrences(pattern, text)
-        [(table, approx)] = searches
-
-        in_window = np.convolve(bases == "N", np.ones(m, dtype=np.int64), mode="valid")
-        width = min(m, len(pattern.non_solid_positions) + int(in_window.max())) + 1
-        assert len(text.non_solid_positions) == gaps
-        assert table.entries.shape == (n - m + 1, table.budget + 1)
-        assert table.budget + 1 <= width
-        assert table.entries.nbytes <= (n - m + 1) * width * 4
-        assert 5_000 in approx
-        assert 5_001 in report.exact_occurrences
+        for (pattern, text), want in zip(cases, expected):
+            blocks.append([])
+            got = find_occurrences(pattern, text, diagnostics=True)
+            assert got.exact_occurrences == want.exact_occurrences
+            assert got.approximate_occurrences == want.approximate_occurrences
+            assert got.verdicts == want.verdicts
+            assert got.lce_queries == want.lce_queries
+            assert list(got.exact_occurrences) == naive_match(pattern, text)
+            assert sum(blocks[-1]) == len(text) - len(pattern) + 1
+        # some searches end on a partial block
+        assert cells == 1 or any(len(b) > 1 and b[-1] < b[0] for b in blocks)
 
 
 class TestFilter:

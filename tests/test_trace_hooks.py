@@ -1,7 +1,8 @@
 """The benchmark's traced run (``benchmark/run.py --trace 1``) wraps
 degmatch's layer entry points by attribute name, so renaming or bypassing
 one breaks it. These tests run one traced search through the benchmark's
-own span code, as a library call and through the CLI."""
+own span code, as a library call and through the CLI, and one search
+split into several blocks of alignments."""
 
 import json
 import sys
@@ -37,6 +38,7 @@ def _library_search(tracer, text):
     with tracer.span("match") as record:
         report = degmatch.find_occurrences(core.parse_iupac(PATTERN), core.parse_iupac(text))
         spans.report_counts(record["attrs"], None, report)
+    return report
 
 
 def _cli_search(tracer, text):
@@ -66,3 +68,21 @@ def test_traced_search_reports_every_layer(parsers_of, run, kind, capsys):
     metrics = spans.match_metrics(tracer.spans)
     assert set(metrics) == LAYER_METRICS
     assert metrics["lce.queries"][0] > 0
+
+
+@pytest.mark.parametrize("kind", sorted(TEXTS))
+def test_traced_blocked_search_sums_its_blocks(kind, monkeypatch):
+    # blocks of 8 cells give every search here at least three blocks
+    monkeypatch.setattr(matcher, "BLOCK_CELLS", 8)
+    tracer = spans.Tracer()
+    tracer.install(core)
+    try:
+        report = _library_search(tracer, TEXTS[kind])
+    finally:
+        tracer.uninstall()
+
+    assert [s["name"] for s in tracer.spans].count("matcher.kangaroo") >= 3
+    metrics = spans.match_metrics(tracer.spans)
+    assert set(metrics) == LAYER_METRICS
+    assert metrics["lce.queries"][0] == report.lce_queries
+    assert metrics["matcher.approx_alignments"][0] == len(report.approximate_occurrences)
