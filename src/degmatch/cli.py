@@ -8,7 +8,6 @@ the brute-force reference.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import bench as bench_mod
 from .core import (
@@ -33,28 +32,6 @@ class EmptyFile(FastaError):
 
 
 _BRACKET_METACHARS = frozenset("[],")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    pattern: str | None = None
-    pattern_file: str | None = None
-    text: str | None = None
-    text_file: str | None = None
-    pattern_syntax: str = "bracket"
-    text_syntax: str = "solid"
-    fmt: str = "positions"
-    diagnostics: bool = False
-    self_check: bool = False
-    bench: str | None = None
-
-    def __post_init__(self):
-        if self.bench is not None:
-            return
-        if (self.pattern is None) == (self.pattern_file is None):
-            raise ValueError("exactly one of --pattern or --pattern-file is required")
-        if self.text is not None and self.text_file is not None:
-            raise ValueError("--text and --text-file are mutually exclusive")
 
 
 def _split_fasta(contents: str):
@@ -132,15 +109,15 @@ def _make_parser(syntax: str, alphabet: Alphabet):
     return lambda raw: parse_solid(raw, alphabet)
 
 
-def _load_text_records(config: RunConfig, stdin) -> list[tuple[str | None, list]]:
-    """Raw records as (id, [(line number, chunk)]); one anonymous record
-    with id None and no line number for a plain source. FASTA framing is
-    detected by a leading '>'. Records are joined and parsed one at a time
-    by ``_parse_record``."""
-    if config.text is not None:
-        contents = config.text
+def _load_text_records(args: argparse.Namespace, stdin) -> list[tuple[str | None, list]]:
+    """Raw records of the text source named in ``args`` as
+    (id, [(line number, chunk)]); one anonymous record with id None and no
+    line number for a plain source. FASTA framing is detected by a leading
+    '>'. Records are joined and parsed one at a time by ``_parse_record``."""
+    if args.text is not None:
+        contents = args.text
     else:
-        contents = _read(config.text_file) if config.text_file is not None else stdin.read()
+        contents = _read(args.text_file) if args.text_file is not None else stdin.read()
         if contents.lstrip().startswith(">"):
             return _split_fasta(contents)
     joined = "".join(contents.split())
@@ -175,37 +152,44 @@ def _emit(record_id, report, pattern_length, fmt, diagnostics, out) -> None:
     out.write("".join(lines))
 
 
-def run(config: RunConfig, out=None, err=None, stdin=None) -> int:
-    """Execute one run; returns the process exit code."""
+def run(argv=None, out=None, err=None, stdin=None) -> int:
+    """Parse ``argv`` (``sys.argv[1:]`` when None), execute one run and
+    return its exit code. Input errors raise, among them a missing or
+    doubled pattern source and both text sources; ``main`` maps them to 2."""
+    args = _build_argparser().parse_args(argv)
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     stdin = stdin if stdin is not None else sys.stdin
 
-    if config.bench is not None:
-        grid = bench_mod.parse_grid(config.bench)
+    if args.bench is not None:
+        grid = bench_mod.parse_grid(args.bench)
         out.write(bench_mod.run_scaling(grid).to_tsv() + "\n")
         return 0
+    if (args.pattern is None) == (args.pattern_file is None):
+        raise ValueError("exactly one of --pattern or --pattern-file is required")
+    if args.text is not None and args.text_file is not None:
+        raise ValueError("--text and --text-file are mutually exclusive")
 
     pattern_raw = (
-        config.pattern if config.pattern is not None else _read(config.pattern_file)
+        args.pattern if args.pattern is not None else _read(args.pattern_file)
     ).strip()
-    records = _load_text_records(config, stdin)
+    records = _load_text_records(args, stdin)
 
-    if config.pattern_syntax == "iupac" or config.text_syntax == "iupac":
+    if args.pattern_syntax == "iupac" or args.text_syntax == "iupac":
         alphabet = DNA_ALPHABET
     else:
-        alphabet = _infer_alphabet(pattern_raw, config.pattern_syntax, records, config.text_syntax)
+        alphabet = _infer_alphabet(pattern_raw, args.pattern_syntax, records, args.text_syntax)
 
-    pattern = _make_parser(config.pattern_syntax, alphabet)(pattern_raw)
-    parse_text = _make_parser(config.text_syntax, alphabet)
+    pattern = _make_parser(args.pattern_syntax, alphabet)(pattern_raw)
+    parse_text = _make_parser(args.text_syntax, alphabet)
 
     found = False
     for rid, chunks in records:
         if not chunks:
             err.write(f"degmatch: warning: record {rid!r} has an empty sequence\n")
         text = _parse_record(rid, chunks, parse_text)
-        report = find_occurrences(pattern, text, diagnostics=config.diagnostics)
-        if config.self_check:
+        report = find_occurrences(pattern, text, diagnostics=args.diagnostics)
+        if args.self_check:
             expected = naive_match(pattern, text)
             if list(report.exact_occurrences) != expected:
                 err.write(
@@ -213,7 +197,7 @@ def run(config: RunConfig, out=None, err=None, stdin=None) -> int:
                     f"matcher={list(report.exact_occurrences)} oracle={expected}\n"
                 )
                 return 3
-        _emit(rid, report, len(pattern), config.fmt, config.diagnostics, out)
+        _emit(rid, report, len(pattern), args.fmt, args.diagnostics, out)
         found = found or bool(report.exact_occurrences)
     return 0 if found else 1
 
@@ -243,21 +227,9 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    """``run`` with its input errors reported on stderr as exit code 2."""
     try:
-        config = RunConfig(
-            pattern=args.pattern,
-            pattern_file=args.pattern_file,
-            text=args.text,
-            text_file=args.text_file,
-            pattern_syntax=args.pattern_syntax,
-            text_syntax=args.text_syntax,
-            fmt=args.fmt,
-            diagnostics=args.diagnostics,
-            self_check=args.self_check,
-            bench=args.bench,
-        )
-        return run(config)
+        return run(argv)
     except (ParseError, FastaError, OSError, ValueError) as e:
         print(f"degmatch: {e}", file=sys.stderr)
         return 2

@@ -10,8 +10,8 @@ block-decomposed sparse table answers range-minimum queries over it:
 per-block prefix/suffix minima plus a sparse table over block minima
 keep the hot query structures small enough to stay cache-resident at
 large L, with a short-span table covering ranges inside one block.
-``lce(i, j)`` then equals the string depth of the suffix-tree LCA of the
-two suffixes, answered in O(1).
+``lce_many`` then answers each pair of offsets (i, j) with the string
+depth of the suffix-tree LCA of the two suffixes, in O(1) per pair.
 """
 
 import numpy as np
@@ -104,7 +104,8 @@ class LceIndex:
     ``seq`` is a sequence of non-negative integer ranks whose final element
     is a separator occurring nowhere else; that uniqueness guarantees no
     suffix is a prefix of another, so every extension stops at a genuine
-    symbol difference.
+    symbol difference. The index keeps the ranks as int32, without a copy
+    when ``seq`` is already a contiguous int32 array.
     """
 
     __slots__ = (
@@ -113,7 +114,7 @@ class LceIndex:
     )
 
     def __init__(self, seq):
-        arr = np.ascontiguousarray(seq, dtype=np.int64)
+        arr = np.ascontiguousarray(seq, dtype=np.int32)
         if arr.ndim != 1 or arr.size == 0:
             raise MissingSeparator("sequence is empty; it must end with the separator")
         sep = int(arr[-1])
@@ -152,19 +153,10 @@ class LceIndex:
         )
         self._block_table = _sparse_table(grid.min(axis=1), max(1, int(blocks).bit_length()))
 
-    def _check(self, off: int) -> None:
-        if not 0 <= off < self.length:
-            raise OutOfRange(f"offset {off} outside 0..{self.length - 1}")
-
-    def lce(self, i: int, j: int) -> int:
-        """Length of the longest common prefix of the suffixes at offsets
-        ``i`` and ``j`` (0-based). O(1)."""
-        self._check(i)
-        self._check(j)
-        return int(self.lce_many(np.asarray([i]), np.asarray([j]))[0])
-
     def lce_many(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Vectorized ``lce`` over parallel offset arrays."""
+        """Longest common prefix of the suffixes at offsets ``i[x]`` and
+        ``j[x]`` (0-based) for every x, O(1) each; raises ``OutOfRange``
+        when an offset is outside the sequence."""
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         if i.size and not (

@@ -28,8 +28,8 @@ block of consecutive alignments at a time, so its mismatch table holds
 at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
 single alignment's budget is wider than that; the block's round
 temporaries are O(block rows). The per-window budgets (one int32 per
-alignment, on a degenerate text) and the membership rows are built once
-per search.
+alignment, a zero-stride view that allocates nothing on a solid text) and
+the membership rows are built once per search.
 """
 
 from dataclasses import dataclass
@@ -114,15 +114,16 @@ class MismatchTable:
         return tuple(int(x) for x in self.entries[i - self.first])
 
 
-def window_budgets(pattern: DegenerateString, text: DegenerateString) -> int | np.ndarray:
+def window_budgets(pattern: DegenerateString, text: DegenerateString) -> np.ndarray:
     """The kangaroo budget b_i = min(m, k_pattern + t_i) of every
-    alignment i, where t_i counts the text placeholders inside window i:
-    an int32 array over the n - m + 1 alignments, or the int k_pattern
-    when the text is solid and every alignment shares it."""
+    alignment i, where t_i counts the text placeholders inside window i,
+    as an int32 array over the n - m + 1 alignments. On a solid text
+    every b_i is k_pattern, and the array is a read-only zero-stride view
+    of that one value."""
     m, n = len(pattern), len(text)
     k_pattern = len(pattern.sets)
     if not text.sets:
-        return k_pattern
+        return np.broadcast_to(np.int32(k_pattern), (n - m + 1,))
     placeholders = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(text.ranks >= len(text.alphabet), out=placeholders[1:])
     in_window = placeholders[m:] - placeholders[: n - m + 1]
@@ -134,7 +135,7 @@ def kangaroo_search(
     text: DegenerateString,
     index: LceIndex,
     alignments: range | None = None,
-    budgets: int | np.ndarray | None = None,
+    budgets: np.ndarray | None = None,
 ) -> tuple[MismatchTable, tuple[int, ...]]:
     """Scan a range of alignments, all of them by default, jumping past
     each mismatch with one LCE query.
@@ -144,8 +145,9 @@ def kangaroo_search(
     pattern's, and the pattern is no longer than the text. Alignment i
     makes at most b_i + 1 jumps and is an approximate occurrence when one
     of them reaches the sentinel m+1, i.e. the window matched the whole
-    pattern with at most b_i mismatches. ``budgets`` is
-    ``window_budgets(pattern, text)``, computed here when not given.
+    pattern with at most b_i mismatches. ``budgets`` is the array
+    ``window_budgets(pattern, text)`` over all alignments, computed here
+    when not given.
     Sum of (b_i + 1) queries over the range, at most
     (k_total + 1)(n - m + 1) in total, each O(1). Returns the range's
     table and its approximate alignments.
@@ -158,12 +160,8 @@ def kangaroo_search(
     if budgets is None:
         budgets = window_budgets(pattern, text)
     lo, count = alignments.start, len(alignments)
-    per_window = isinstance(budgets, np.ndarray)
-    if per_window:
-        budgets = budgets[lo : lo + count]
-        k = int(budgets.max())
-    else:
-        k = budgets  # every alignment has the scalar budget k
+    budgets = budgets[lo : lo + count]
+    k = int(budgets.max())
 
     # round j writes row j, so each round's scatter stays within one row
     entries = np.full((k + 1, count), sentinel, dtype=np.int32)
@@ -180,10 +178,7 @@ def kangaroo_search(
         mm = fa + q + 1
         entries[j, active] = mm
         f[active] = mm
-        if per_window:
-            active = active[(mm != sentinel) & (budgets[active] > j)]
-        else:
-            active = active[mm != sentinel]
+        active = active[(mm != sentinel) & (budgets[active] > j)]
 
     approx = np.flatnonzero(f == sentinel) + lo  # the last jump reached the end
     table = MismatchTable(entries=entries.T, m=m, budget=k, query_count=queries, first=lo)
@@ -273,12 +268,11 @@ def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
     return LceIndex(seq)
 
 
-def _block_rows(budgets: int | np.ndarray, lo: int) -> int:
+def _block_rows(budgets: np.ndarray, lo: int) -> int:
     """Alignments in the block that starts at alignment ``lo``: the most
     whose widest budget b keeps the block's table, rows x (b + 1) cells,
-    within ``BLOCK_CELLS``, and at least one."""
-    if not isinstance(budgets, np.ndarray):
-        return max(1, BLOCK_CELLS // (budgets + 1))
+    within ``BLOCK_CELLS``, and at least one. ``budgets`` is the
+    ``window_budgets`` array, a zero-stride view on a solid text."""
     ahead = budgets[lo : lo + max(1, BLOCK_CELLS // (int(budgets[lo]) + 1))]
     widths = np.maximum.accumulate(ahead) + 1
     return max(1, int(np.count_nonzero(widths * np.arange(1, ahead.size + 1) <= BLOCK_CELLS)))
@@ -297,7 +291,8 @@ def search(
     A block holds as many alignments as keep its table within
     ``BLOCK_CELLS`` cells at the width of its own widest budget, so a
     few dense windows shrink only the blocks around them. On a solid
-    text every block has BLOCK_CELLS // (k_pattern + 1) alignments.
+    text every block but the last has BLOCK_CELLS // (k_pattern + 1)
+    alignments.
     """
     budgets = window_budgets(pattern, text)
     membership = precompute_membership(pattern), precompute_membership(text)

@@ -1,17 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from degmatch.cli import EmptyFile, RunConfig, main, run
+import degmatch
+from degmatch.cli import EmptyFile, main, run
 
 GOLDEN = ["-p", "a[bc]da[bd]", "--text", "dacdabdadcabdac"]
-
-
-def run_config(**kw):
-    buf_out, buf_err = io.StringIO(), io.StringIO()
-    code = run(RunConfig(**kw), out=buf_out, err=buf_err, stdin=io.StringIO(""))
-    return code, buf_out.getvalue(), buf_err.getvalue()
 
 
 class TestExitCodes:
@@ -62,7 +61,7 @@ class TestInputSources:
     def test_stdin(self):
         buf_out = io.StringIO()
         code = run(
-            RunConfig(pattern="a[bc]da[bd]"),
+            ["-p", "a[bc]da[bd]"],
             out=buf_out, err=io.StringIO(), stdin=io.StringIO("dacdabdadcabdac\n"),
         )
         assert code == 0
@@ -71,8 +70,7 @@ class TestInputSources:
     def test_empty_stdin(self):
         # run() raises; main() converts this to exit code 2
         with pytest.raises(EmptyFile):
-            run(RunConfig(pattern="ab"), out=io.StringIO(), err=io.StringIO(),
-                stdin=io.StringIO(""))
+            run(["-p", "ab"], out=io.StringIO(), err=io.StringIO(), stdin=io.StringIO(""))
 
     def test_empty_text_is_input_error(self, capsys):
         assert main(["-p", "ab", "--text", ""]) == 2
@@ -177,3 +175,41 @@ class TestBenchFlag:
 
     def test_bad_spec(self, capsys):
         assert main(["--bench", "k=1"]) == 2
+
+
+class TestEntryPoint:
+    """``python -m degmatch.cli``, as a shell or a benchmark spawns it."""
+
+    @staticmethod
+    def spawn(*argv):
+        path = [str(Path(degmatch.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        return subprocess.run(
+            [sys.executable, "-m", "degmatch.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    IUPAC = ["-p", "ACGNTA", "--pattern-syntax", "iupac", "--text-syntax", "iupac"]
+
+    def test_fasta_json_lines_diagnostics(self, tmp_path):
+        f = tmp_path / "t.fa"
+        f.write_text(">r1 first\nTTACGATAGG\nACGCTAC\n>r2\nTTACGATAGNNNRCGCTAC\n")
+        result = self.spawn(*self.IUPAC, "--text-file", str(f),
+                            "--format", "json-lines", "--diagnostics")
+        assert result.returncode == 0, result.stderr
+        objs = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [(o["record"], o["position"], o["verdicts"]) for o in objs] == [
+            ("r1", 3, ["fake"]),
+            ("r1", 11, ["fake"]),
+            ("r2", 3, ["fake"]),
+            ("r2", 13, ["fake", "fake"]),  # R against A, N against C
+        ]
+        assert all(o["pattern_length"] == 6 for o in objs)
+
+    def test_both_text_sources(self, tmp_path):
+        f = tmp_path / "t.txt"
+        f.write_text("ACGTACGT\n")
+        result = self.spawn(*self.IUPAC, "--text", "ACGT", "--text-file", str(f))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "--text and --text-file are mutually exclusive" in result.stderr

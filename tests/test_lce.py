@@ -21,6 +21,12 @@ def random_sequence(rng, length, sigma):
     return [rng.randrange(sigma) for _ in range(length - 1)] + [sigma]
 
 
+def all_pairs(length):
+    """Every offset pair (i, j) of a sequence, as two flat arrays."""
+    ii, jj = np.meshgrid(np.arange(length), np.arange(length), indexing="ij")
+    return ii.ravel(), jj.ravel()
+
+
 def encode(text):
     # for letter fixtures: a..z to ranks, '#' to the highest rank
     alphabet = sorted(set(text) - {"#"})
@@ -37,11 +43,11 @@ EXAMPLE_SEQ = encode("dacdabdadcabdac" + "a!da?#".replace("!", "e").replace("?",
 class TestBuild:
     def test_all_distinct_suffixes(self):
         idx = LceIndex(encode("ab#"))
-        assert idx.lce(0, 1) == 0
+        assert idx.lce_many([0], [1]).tolist() == [0]
 
     def test_repeated_prefix(self):
         idx = LceIndex(encode("aa#"))
-        assert idx.lce(0, 1) == 1
+        assert idx.lce_many([0], [1]).tolist() == [1]
 
     def test_example_sequence_builds(self):
         idx = LceIndex(EXAMPLE_SEQ)
@@ -58,7 +64,7 @@ class TestBuild:
 
     def test_single_symbol(self):
         idx = LceIndex([0])
-        assert idx.lce(0, 0) == 1
+        assert idx.lce_many([0], [0]).tolist() == [1]
 
 
 def naive_index(seq):
@@ -99,24 +105,24 @@ def test_arrays_match_naive_suffix_sort(seq):
 class TestQueries:
     def test_basic_extension(self):
         idx = LceIndex(encode("abab#"))
-        assert idx.lce(0, 2) == 2
+        assert idx.lce_many([0], [2]).tolist() == [2]
 
     def test_identical_offsets(self):
         idx = LceIndex(encode("abab#"))
-        for i in range(5):
-            assert idx.lce(i, i) == 5 - i
+        offsets = np.arange(5)
+        assert idx.lce_many(offsets, offsets).tolist() == [5, 4, 3, 2, 1]
 
     def test_example_placeholder_boundary(self):
         # text suffix "adc..." against pattern suffix "a<placeholder>..."
         idx = LceIndex(EXAMPLE_SEQ)
-        assert idx.lce(7, 15) == 1
+        assert idx.lce_many([7], [15]).tolist() == [1]
 
     def test_out_of_range(self):
         idx = LceIndex(encode("ab#"))
         with pytest.raises(OutOfRange):
-            idx.lce(0, 3)
+            idx.lce_many([0], [3])
         with pytest.raises(OutOfRange):
-            idx.lce(-1, 0)
+            idx.lce_many([-1], [0])
         with pytest.raises(OutOfRange):
             idx.lce_many(np.asarray([0, 5]), np.asarray([0, 0]))
 
@@ -129,24 +135,19 @@ class TestOracleEquivalence:
     def test_all_pairs_small(self, length, sigma, seed):
         seq = random_sequence(random.Random(seed), length, sigma)
         idx = LceIndex(seq)
-        for i in range(length):
-            for j in range(length):
-                assert idx.lce(i, j) == naive_lce(seq, i, j), (i, j)
+        ii, jj = all_pairs(length)
+        got = idx.lce_many(ii, jj).tolist()
+        for i, j, q in zip(ii.tolist(), jj.tolist(), got):
+            assert q == naive_lce(seq, i, j), (i, j)
 
     def test_all_pairs_512(self):
         seq = random_sequence(random.Random(99), 512, 2)
         idx = LceIndex(seq)
-        ii, jj = np.meshgrid(np.arange(512), np.arange(512), indexing="ij")
-        got = idx.lce_many(ii.ravel(), jj.ravel())
+        got = idx.lce_many(*all_pairs(512))
         expected = np.asarray(
             [naive_lce(seq, i, j) for i in range(512) for j in range(512)]
         )
         assert np.array_equal(got, expected)
-        # the scalar path agrees with the vectorized one
-        rng = random.Random(7)
-        for _ in range(500):
-            i, j = rng.randrange(512), rng.randrange(512)
-            assert idx.lce(i, j) == int(got[i * 512 + j])
 
     @given(st.integers(2, 400), st.integers(1, 4), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -154,9 +155,10 @@ class TestOracleEquivalence:
         rng = random.Random(seed)
         seq = random_sequence(rng, length, sigma)
         idx = LceIndex(seq)
-        for _ in range(32):
-            i, j = rng.randrange(length), rng.randrange(length)
-            assert idx.lce(i, j) == naive_lce(seq, i, j)
+        pairs = [(rng.randrange(length), rng.randrange(length)) for _ in range(32)]
+        ii, jj = np.asarray(pairs).T
+        got = idx.lce_many(ii, jj).tolist()
+        assert got == [naive_lce(seq, i, j) for i, j in pairs]
 
     @given(st.integers(2, 200), st.integers(1, 3), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -164,9 +166,10 @@ class TestOracleEquivalence:
         rng = random.Random(seed)
         seq = random_sequence(rng, length, sigma)
         idx = LceIndex(seq)
-        for _ in range(32):
-            i, j = rng.randrange(length), rng.randrange(length)
-            q = idx.lce(i, j)
-            assert q == idx.lce(j, i)
+        pairs = [(rng.randrange(length), rng.randrange(length)) for _ in range(32)]
+        ii, jj = np.asarray(pairs).T
+        got = idx.lce_many(ii, jj).tolist()
+        assert got == idx.lce_many(jj, ii).tolist()
+        for (i, j), q in zip(pairs, got):
             if i != j and i + q < length and j + q < length:
                 assert seq[i + q] != seq[j + q]

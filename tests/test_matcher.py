@@ -250,6 +250,31 @@ class TestKangarooSearch:
         assert any(5_000 in approx for _, approx in searches)
         assert 5_001 in report.exact_occurrences
 
+    def test_solid_text_blocks_are_full_and_k_pattern_wide(self, monkeypatch):
+        # every alignment of a solid text has the budget k_pattern and
+        # meets all k_pattern placeholders, so it makes exactly k_p + 1 jumps
+        n, m, k_p = 100_000, 64, 7
+        rng = np.random.default_rng(100_000)
+        bases = np.array(list("ACGT"))[rng.integers(0, 4, n)]
+        pattern = bases[5_000 : 5_000 + m].copy()
+        pattern[rng.choice(m, k_p, replace=False)] = "N"
+        searches, report = _blocked_search(monkeypatch, "".join(pattern), bases)
+        rows = matcher.BLOCK_CELLS // (k_p + 1)
+        assert len(searches) > 2
+        assert all(table.entries.shape[1] == k_p + 1 for table, _ in searches)
+        assert [table.alignments for table, _ in searches[:-1]] == [rows] * (len(searches) - 1)
+        queries = sum(table.query_count for table, _ in searches)
+        assert queries == report.lce_queries == (k_p + 1) * (n - m + 1)
+        assert 5_001 in report.exact_occurrences
+
+    def test_solid_text_budgets_are_a_zero_stride_view(self, abcd):
+        pattern, text = parse_bracket("a[bc]d", abcd), parse_solid("abdacdab", abcd)
+        budgets = matcher.window_budgets(pattern, text)
+        assert budgets.dtype == np.int32
+        assert budgets.strides == (0,)  # one k_pattern for all alignments, no array
+        assert not budgets.flags.writeable
+        assert budgets.tolist() == [1] * 6
+
 
 def _blocked_search(monkeypatch, raw_pattern, bases):
     """find_occurrences of ``raw_pattern`` in the DNA/N characters ``bases``,
@@ -526,6 +551,7 @@ class TestStructuralInvariants:
             # the index holds the text's placeholders moved past the
             # pattern's; the parsed ranks of the two can coincide
             index, table, approx = pipeline(pattern, text)
+            assert index.seq.dtype == np.int32  # prepare's ranks, not a wider copy
             n = len(text)
             for i in approx:
                 entries = {e for e in table.column(i) if e != table.sentinel}
