@@ -1,12 +1,13 @@
 """Scaling measurements for the search pipeline.
 
 Each grid cell times the two halves of ``find_occurrences`` on one
-fixed-seed instance: ``build_ms`` is the LCE index over both strings'
-ranks (``matcher.prepare``), and ``search_ms`` is stages 2-3 exactly as
-``find_occurrences`` runs them (``matcher.search``). Every cell checks
-the machine-independent guarantee that search issued at most
-(k+1)(n-m+1) LCE queries, and raises ``AssertionError`` when it does not,
-also under ``python -O``.
+fixed-seed instance: ``build_ms`` is ``matcher.prepare``, which makes
+only the LCE index's code words over both strings' ranks, and
+``search_ms`` is stages 2-3 exactly as ``find_occurrences`` runs them
+(``matcher.search``), including any suffix index a query builds on
+demand. Every cell checks the machine-independent guarantee that search
+issued at most (k+1)(n-m+1) LCE queries, and raises ``AssertionError``
+when it does not, also under ``python -O``.
 """
 
 import statistics

@@ -275,7 +275,13 @@ def _parse_characters(text: str, alphabet: Alphabet, mask_of, error, what) -> De
     distinct character and gives its set, or None when the character is
     invalid; the first invalid character in text order raises ``error``."""
     points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    distinct, codes = np.unique(points, return_inverse=True)
+    # a table over code points rather than a sort: O(n) with few large
+    # temporaries, so its time hardly depends on how warm the heap is
+    table = np.zeros(int(points.max(initial=0)) + 1, dtype=np.intp)
+    table[points] = 1
+    distinct = np.flatnonzero(table)
+    table[distinct] = np.arange(distinct.size)
+    codes = table[points]
     masks = [mask_of(chr(c)) for c in distinct.tolist()]
     if None in masks:
         invalid = [d for d, mk in enumerate(masks) if mk is None]

@@ -1,19 +1,34 @@
-"""Constant-time longest-common-extension queries over a rank sequence.
+"""Longest-common-extension queries over a rank sequence.
 
-One prefix-doubling pass (O(L log L), a stable numpy sort per round)
-builds the whole index. Round d names every suffix's 2^d-prefix, the
+``lce_many`` answers most pairs of offsets by direct comparison, the
+"DirectComp" hybrid of Ilie, Navarro and Tinta (2010): every rank gets a
+one-byte code, min(rank, 255), and one gather of a 64-bit word compares
+8 symbols of a pair at once. Every rank of 255 or more shares the escape
+code 0xFF, so a comparison that runs into an equal escape byte is not
+settled by words. A pair whose 8 codes all match goes on word by word
+while a budget of L words per index lasts (L is the sequence length), so
+a few long extensions need no index. Over the life of an index the words
+read are at most the number of pairs plus L.
+
+The pairs that words leave open go to a constant-time index, built the
+first time a pair needs it. One prefix-doubling pass (a stable numpy
+sort per round) names every suffix's 2^d-prefix, the
 Karp-Miller-Rosenberg names of Manber and Myers: equal names mean equal
-prefixes. The last round orders the suffixes, and its names, all
-distinct, are their ranks. The adjacent-suffix LCP array comes from the
-same rounds by binary lifting, one vectorized pass per round. A
-block-decomposed sparse table answers range-minimum queries over it:
-per-block prefix/suffix minima plus a sparse table over block minima
-keep the hot query structures small enough to stay cache-resident at
-large L, with a short-span table covering ranges inside one block.
-``lce_many`` then answers each pair of offsets (i, j) with the string
-depth of the suffix-tree LCA of the two suffixes, in O(1) per pair.
-"""
+prefixes. Doubling stops once the names are all distinct, or once the
+prefixes reach ``cap``. The last round orders the suffixes, and the
+adjacent-suffix LCP array comes from the same rounds by binary lifting,
+one vectorized pass per round. A block-decomposed sparse table answers
+range-minimum queries over it: per-block prefix/suffix minima plus a
+sparse table over block minima keep the hot query structures small
+enough to stay cache-resident at large L, with a short-span table
+covering ranges inside one block. The LCE of two suffixes is then the
+minimum LCP between their ranks, O(1) per pair.
 
+Without a cap every answer is exact. With one, an answer is exact below
+the cap and at least the cap otherwise: in an order sorted by
+cap-prefixes, the capped LCE of two suffixes is the smallest capped LCP
+between them.
+"""
 import numpy as np
 
 from .core import OutOfRange
@@ -27,35 +42,39 @@ class SeparatorNotUnique(ValueError):
     pass
 
 
-def _suffix_array(seq: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _suffix_array(
+    seq: np.ndarray, cap: int | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Suffix order by prefix doubling, and every round's int32 names.
 
     ``levels[d][p]`` names the 2^d-prefix of the suffix at ``p``. Each
     round sorts on (name, name 2^d further on), with the keys taken in the
     previous round's order, so the stable sort only has to order the runs
-    of equal names. Doubling stops once every name is distinct.
+    of equal names. Doubling stops once every name is distinct or once
+    the named prefixes are at least ``cap`` long; the order then sorts
+    the suffixes by those prefixes, with ties in no particular order.
     """
     length = len(seq)
-    order = np.argsort(seq, kind="stable")
+    order = np.argsort(seq, kind="stable").astype(np.int32)
     sorted_keys = seq[order]
+    sorted_names = np.zeros(length, dtype=np.int32)
     levels = []
-    changed = np.empty(length, dtype=np.int32)
-    changed[0] = 0
     h = 1
     while True:
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=changed[1:])
-        sorted_names = np.cumsum(changed, dtype=np.int32)
+        np.cumsum(sorted_keys[1:] != sorted_keys[:-1], out=sorted_names[1:])
+        del sorted_keys
         names = np.empty(length, dtype=np.int32)
         names[order] = sorted_names
         levels.append(names)
-        if sorted_names[-1] == length - 1:
-            return order.astype(np.int32), levels
+        if sorted_names[-1] == length - 1 or (cap is not None and h >= cap):
+            return order, levels
         key = names.astype(np.int64) * (length + 1)
         key[: length - h] += names[h:] + 1
-        key = key[order]
-        step = np.argsort(key, kind="stable")
+        sorted_keys = key[order]
+        del key
+        step = np.argsort(sorted_keys, kind="stable")
         order = order[step]
-        sorted_keys = key[step]
+        sorted_keys = sorted_keys[step]
         h *= 2
 
 
@@ -63,15 +82,17 @@ def _lcp_array(order: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
     """lcp[r] = LCP of the suffixes ranked r-1 and r, by binary lifting.
 
     From the highest round down, a pair whose 2^d-prefixes at its current
-    extension share a name extends by 2^d. The last round's names are all
-    distinct, so lifting starts one round below it. A common prefix never
-    reaches the unique separator, so no offset runs past the end.
+    extension share a name extends by 2^d, so with D + 1 rounds the result
+    is exact below 2^(D+1) and 2^(D+1) - 1 otherwise. Each round is
+    dropped from ``levels`` once it is used. A common prefix never reaches
+    the unique separator, so no offset runs past the end.
     """
     lcp = np.zeros(order.size, dtype=np.int32)
     ext = lcp[1:]
     left, right = order[:-1], order[1:]
-    for d in range(len(levels) - 2, -1, -1):
-        names = levels[d]
+    while levels:
+        d = len(levels) - 1
+        names = levels.pop()
         ext += (names[left + ext] == names[right + ext]) * np.int32(1 << d)
     return lcp
 
@@ -94,26 +115,47 @@ def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(table[d, lo], table[d, hi - (np.int64(1) << d) + 1])
 
 
+def _leading_bytes(x: np.ndarray) -> np.ndarray:
+    """Number of zero low-order bytes of each uint64, 8 for zero: the
+    bytes a little-endian word holds before its first nonzero one."""
+    y = x - 1
+    y &= ~x
+    count = np.bitwise_count(y)
+    count >>= 3
+    return count
+
+
 _BLOCK_BITS = 5
 _BLOCK = 1 << _BLOCK_BITS
+_ESCAPE = 0xFF
+_ONES = np.uint64(0x0101010101010101)
+_HIGHS = np.uint64(0x8080808080808080)
 
 
 class LceIndex:
-    """Immutable index answering longest-common-extension queries in O(1).
+    """Longest-common-extension index over a rank sequence.
 
     ``seq`` is a sequence of non-negative integer ranks whose final element
     is a separator occurring nowhere else; that uniqueness guarantees no
     suffix is a prefix of another, so every extension stops at a genuine
     symbol difference. The index keeps the ranks as int32, without a copy
-    when ``seq`` is already a contiguous int32 array.
+    when ``seq`` is already a contiguous int32 array, and the 64-bit word
+    of codes that starts at every offset (8 bytes per symbol).
+
+    The suffix order, rank, LCP array and range-minimum tables are empty
+    arrays until a pair first needs them; only that build and the word
+    budget change after construction. With ``cap``, doubling stops once
+    prefixes are ``cap`` long, and an answer is exact when it is below
+    ``cap`` and at least ``cap`` otherwise.
     """
 
     __slots__ = (
-        "seq", "length", "suffix_order", "rank", "lcp",
+        "seq", "length", "cap", "suffix_order", "rank", "lcp",
         "_short", "_prefix_min", "_suffix_min", "_block_table",
+        "_words", "_escapes", "_word_budget",
     )
 
-    def __init__(self, seq):
+    def __init__(self, seq, cap: int | None = None):
         arr = np.ascontiguousarray(seq, dtype=np.int32)
         if arr.ndim != 1 or arr.size == 0:
             raise MissingSeparator("sequence is empty; it must end with the separator")
@@ -123,12 +165,30 @@ class LceIndex:
 
         self.seq = arr
         self.length = int(arr.size)
-        self.suffix_order, levels = _suffix_array(arr)
-        self.rank = levels[-1]
-        self.lcp = _lcp_array(self.suffix_order, levels)
-        self._build_rmq(self.lcp)
+        self.cap = cap
+        # 8 zero bytes of padding let the word at every offset be read
+        codes = np.zeros(arr.size + 8, dtype=np.uint8)
+        np.minimum(arr, _ESCAPE, out=codes[: arr.size], casting="unsafe")
+        self._escapes = bool(codes.max() == _ESCAPE)
+        # an aligned copy of the overlapping words: gathers from the
+        # unaligned view itself run several times slower
+        self._words = np.ndarray((arr.size,), "<u8", buffer=codes, strides=(1,)).copy()
+        self._words.flags.writeable = False
+        self._word_budget = self.length
+        self.suffix_order = self.rank = self.lcp = np.empty(0, dtype=np.int32)
+        self._short = self._block_table = np.empty((0, 0), dtype=np.int32)
+        self._prefix_min = self._suffix_min = self.lcp
+        self.seq.flags.writeable = False
+
+    def _build(self) -> None:
+        """Suffix order, rank, LCP array and range-minimum tables."""
+        order, levels = _suffix_array(self.seq, self.cap)
+        self._build_rmq(_lcp_array(order, levels))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(self.length, dtype=np.int32)
+        self.suffix_order, self.rank, self.lcp = order, rank, self._short[0]
         for a in (
-            self.seq, self.suffix_order, self.rank, self.lcp,
+            self.suffix_order, self.rank, self.lcp,
             self._short, self._prefix_min, self._suffix_min, self._block_table,
         ):
             a.flags.writeable = False
@@ -153,25 +213,15 @@ class LceIndex:
         )
         self._block_table = _sparse_table(grid.min(axis=1), max(1, int(blocks).bit_length()))
 
-    def lce_many(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Longest common prefix of the suffixes at offsets ``i[x]`` and
-        ``j[x]`` (0-based) for every x, O(1) each; raises ``OutOfRange``
-        when an offset is outside the sequence."""
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        if i.size and not (
-            0 <= int(i.min()) and int(i.max()) < self.length
-            and 0 <= int(j.min()) and int(j.max()) < self.length
-        ):
-            raise OutOfRange("offset outside the indexed sequence")
+    def _index_lce(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """LCE of each pair of distinct offsets from the range minimum of
+        the LCP array between their ranks; builds the index first if needed."""
+        if self.suffix_order.size == 0:
+            self._build()
         ra = self.rank[i]
         rb = self.rank[j]
         lo = np.minimum(ra, rb).astype(np.int64) + 1
         hi = np.maximum(ra, rb).astype(np.int64)
-        # equal offsets make lo > hi; clamp for the gathers, the result is
-        # overwritten at the end
-        lo = np.minimum(lo, self.length - 1)
-        hi = np.maximum(hi, lo)
         span = hi - lo + 1
         out = np.empty(lo.shape, dtype=np.int64)
 
@@ -191,8 +241,53 @@ class LceIndex:
                 inner_min = _range_min(self._block_table, bl[inner], bh[inner])
                 edge[inner] = np.minimum(edge[inner], inner_min)
             out[long] = edge
+        return out
 
-        same = i == j
-        if same.any():
-            out = np.where(same, self.length - i, out)
+    def _compare(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Codes the words at offsets ``i`` and ``j`` share before their
+        first difference, 0 to 8, or 9 when an escape byte lies among them:
+        that byte is equal on both sides, the ranks behind it may not be."""
+        a = self._words[i]
+        equal = _leading_bytes(a ^ self._words[j])
+        if self._escapes:
+            equal[_leading_bytes((~a - _ONES) & a & _HIGHS) < equal] = 9
+        return equal
+
+    def lce_many(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Longest common prefix of the suffixes at offsets ``i[x]`` and
+        ``j[x]`` (0-based) for every x, O(1) amortized each; raises
+        ``OutOfRange`` when an offset is outside the sequence.
+
+        Each pair first compares one word of 8 codes. A pair that matched
+        all 8 without an escape goes on word by word while the word budget
+        lasts and the index is not built yet; whatever is still open, and
+        every pair stopped by an equal escape byte, goes to the index.
+        """
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        if i.size and not (
+            0 <= int(i.min()) and int(i.max()) < self.length
+            and 0 <= int(j.min()) and int(j.max()) < self.length
+        ):
+            raise OutOfRange("offset outside the indexed sequence")
+        cap = self.length if self.cap is None else self.cap
+        out = self._compare(i, j).astype(np.int64)
+        pending = np.flatnonzero(out >= 8)
+        same = pending[i[pending] == j[pending]]
+        out[same] = self.length - i[same]
+        pending = pending[i[pending] != j[pending]]
+        to_index = [pending[out[pending] > 8]]
+        pending = pending[out[pending] == 8]
+        while pending.size:
+            pending = pending[out[pending] < cap]
+            if self.suffix_order.size or pending.size > self._word_budget:
+                break
+            self._word_budget -= pending.size
+            equal = self._compare(i[pending] + out[pending], j[pending] + out[pending])
+            out[pending] += equal
+            to_index.append(pending[equal > 8])
+            pending = pending[equal == 8]
+        rest = np.concatenate([*to_index, pending])
+        if rest.size:
+            out[rest] = self._index_lce(i[rest], j[rest])
         return out

@@ -21,9 +21,14 @@ pattern placeholders.
 
 Three entry points run the stages: ``prepare`` builds the LCE index over
 both strings' ranks, ``search`` runs stages 2 and 3 with that index, and
-``find_occurrences`` checks its inputs and chains the two.
+``find_occurrences`` checks its inputs and chains the two. The index
+compares 8 symbols per word first; its suffix order, LCP array and RMQ
+are built in the middle of a search, the first time a query needs them,
+and only to depth m, since every jump is clamped to the pattern end.
 
-Memory: the index is O(n + m). ``search`` runs stages 2 and 3 on one
+Memory: the index is O(n + m): the ranks and one 64-bit word per symbol,
+plus the suffix structures when a search builds them, which a search
+on random text usually does not. ``search`` runs stages 2 and 3 on one
 block of consecutive alignments at a time, so its mismatch table holds
 at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
 single alignment's budget is wider than that; the block's round
@@ -149,8 +154,8 @@ def kangaroo_search(
     ``window_budgets(pattern, text)`` over all alignments, computed here
     when not given.
     Sum of (b_i + 1) queries over the range, at most
-    (k_total + 1)(n - m + 1) in total, each O(1). Returns the range's
-    table and its approximate alignments.
+    (k_total + 1)(n - m + 1) in total, each O(1) amortized. Returns the
+    range's table and its approximate alignments.
     """
     m = len(pattern)
     n = len(text)
@@ -253,19 +258,20 @@ _filter_general = filter_occurrences
 
 
 def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
-    """The LCE index over text + pattern + separator.
+    """The LCE index over text + pattern + separator, capped at m.
 
     The pattern keeps its placeholder ranks sigma .. sigma + k_p - 1, the
     text's move up to the next k_t ranks, and the separator is
     sigma + k_total, so every placeholder mismatches every other symbol
-    and the separator is unique.
+    and the separator is unique. The kangaroo loop clamps every extension
+    to the pattern end, so answers need only be exact below m.
     """
     sigma, k_p = len(pattern.alphabet), len(pattern.sets)
     separator = sigma + k_p + len(text.sets)
     seq = np.concatenate(
         [substitute(text, sigma + k_p), pattern.ranks, np.asarray([separator], dtype=np.int32)]
     )
-    return LceIndex(seq)
+    return LceIndex(seq, cap=len(pattern))
 
 
 def _block_rows(budgets: np.ndarray, lo: int) -> int:
@@ -327,7 +333,9 @@ def find_occurrences(
     longer than the text yields an empty report. After index construction
     the search makes sum_i (b_i + 1) LCE queries, where
     b_i = min(m, k_pattern + text placeholders in window i): O(k_pattern * n)
-    on a solid text and at most O(k_total * n) on a degenerate one.
+    on a solid text and at most O(k_total * n) on a degenerate one. The
+    index compares words of 8 symbols and builds its suffix structures,
+    still O(n + m), only when a long or escaped extension needs them.
     Memory is the O(n + m) index plus one block's mismatch table of at
     most ``BLOCK_CELLS`` = 2^18 int32 cells (one row when a single
     budget is wider) and that block's O(rows) round temporaries.

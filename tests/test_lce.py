@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import degmatch.lce as lce
 from degmatch import OutOfRange
-from degmatch.lce import LceIndex, MissingSeparator, SeparatorNotUnique
+from degmatch.lce import (
+    LceIndex,
+    MissingSeparator,
+    SeparatorNotUnique,
+    _lcp_array,
+    _suffix_array,
+)
 
 
 def naive_lce(seq, i, j):
@@ -52,7 +59,8 @@ class TestBuild:
     def test_example_sequence_builds(self):
         idx = LceIndex(EXAMPLE_SEQ)
         assert idx.length == 21
-        assert sorted(idx.suffix_order.tolist()) == list(range(21))
+        order, _ = _suffix_array(idx.seq)
+        assert sorted(order.tolist()) == list(range(21))
 
     def test_empty_sequence(self):
         with pytest.raises(MissingSeparator):
@@ -95,11 +103,12 @@ NAIVE_SORT_CASES = {
 
 @pytest.mark.parametrize("seq", NAIVE_SORT_CASES.values(), ids=NAIVE_SORT_CASES.keys())
 def test_arrays_match_naive_suffix_sort(seq):
-    idx = LceIndex(seq)
-    order, rank, lcp = naive_index(seq)
-    assert idx.suffix_order.tolist() == order
-    assert idx.rank.tolist() == rank
-    assert idx.lcp.tolist() == lcp
+    suffix_order, levels = _suffix_array(np.asarray(seq, dtype=np.int32))
+    rank = levels[-1]  # uncapped, the last round's names are all distinct
+    order, naive_rank, lcp = naive_index(seq)
+    assert suffix_order.tolist() == order
+    assert rank.tolist() == naive_rank
+    assert _lcp_array(suffix_order, levels).tolist() == lcp
 
 
 class TestQueries:
@@ -173,3 +182,109 @@ class TestOracleEquivalence:
         for (i, j), q in zip(pairs, got):
             if i != j and i + q < length and j + q < length:
                 assert seq[i + q] != seq[j + q]
+
+
+SIGMAS = (1, 4, 70, 254, 255, 256, 300)
+
+
+@st.composite
+def periodic_sequences(draw):
+    """A repeated unit with up to three changed symbols, then the separator
+    sigma. Repeats give extensions that cross word boundaries; with sigma
+    of 255 or more, distinct ranks share the escape code 0xFF."""
+    sigma = draw(st.sampled_from(SIGMAS))
+    favoured = sorted({0, sigma // 2, sigma - 1, max(0, sigma - 45)})
+    symbol = st.sampled_from(favoured) | st.integers(0, sigma - 1)
+    unit = draw(st.lists(symbol, min_size=1, max_size=12))
+    length = draw(st.integers(1, 150))
+    seq = (unit * length)[: length - 1]
+    for _ in range(draw(st.integers(0, 3))):
+        if seq:
+            seq[draw(st.integers(0, len(seq) - 1))] = draw(symbol)
+    return seq + [sigma]
+
+
+def assert_capped(seq, pairs, got, cap):
+    """Exact below ``cap`` and at least ``cap`` otherwise; exact without one."""
+    for (i, j), q in zip(pairs, got):
+        expected = naive_lce(seq, i, j)
+        if cap is None or expected < cap:
+            assert q == expected, (i, j, cap)
+        else:
+            assert q >= cap, (i, j, cap)
+
+
+@pytest.fixture
+def suffix_sorts(monkeypatch):
+    """The arguments of every suffix sort an index runs in the test."""
+    calls = []
+    monkeypatch.setattr(lce, "_suffix_array", lambda *a: calls.append(a) or _suffix_array(*a))
+    return calls
+
+
+class TestWordPath:
+    @given(periodic_sequences(), st.sampled_from([None, 1, 2, 3, 8, 64]), st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_lce(self, seq, cap, seed):
+        rng = random.Random(seed)
+        length = len(seq)
+        pairs = [(rng.randrange(length), rng.randrange(length)) for _ in range(40)]
+        pairs += [(length - 1, rng.randrange(length)), (rng.randrange(length), length - 2),
+                  (rng.randrange(length),) * 2]
+        pairs = [(i, j) for i, j in pairs if j >= 0]
+        idx = LceIndex(seq, cap)
+        # two calls: the second may find the index built by the first
+        for part in (pairs[::2], pairs[1::2]):
+            ii, jj = np.asarray(part).T
+            assert_capped(seq, part, idx.lce_many(ii, jj).tolist(), cap)
+
+    def test_short_extensions_build_no_index(self, suffix_sorts):
+        seq = random_sequence(random.Random(4), 2_000, 4)
+        idx = LceIndex(seq)
+        ii = np.arange(1_999)
+        got = idx.lce_many(ii, ii + 1).tolist()
+        assert got == [naive_lce(seq, i, i + 1) for i in range(1_999)]
+        assert suffix_sorts == [] and idx.suffix_order.size == 0
+
+    @pytest.mark.parametrize("cap", [None, 64])
+    def test_spent_word_budget_builds_the_index_once(self, suffix_sorts, cap):
+        seq = [0, 1, 2] * 200 + [3]
+        idx = LceIndex(seq, cap)
+        ii = np.arange(597)
+        for _ in range(2):
+            got = idx.lce_many(ii, ii + 3).tolist()
+            assert_capped(seq, zip(ii.tolist(), (ii + 3).tolist()), got, cap)
+        assert len(suffix_sorts) == 1 and idx.suffix_order.size == len(seq)
+
+    @pytest.mark.parametrize("seq,i,j,expected", [
+        # 300 and 255 share the escape code but differ
+        ([7, 300, 8, 9, 7, 255, 8, 9, 400], 0, 4, 1),
+        # an escape on one side only is a plain mismatch
+        ([7, 300, 8, 7, 5, 8, 400], 0, 3, 1),
+        # equal ranks behind an equal escape byte extend on
+        ([1, 300, 2, 3, 1, 300, 2, 4, 500], 0, 4, 3),
+        ([1] + [256] * 9 + [2, 1] + [256] * 9 + [3, 500], 0, 11, 10),
+        # the separator's own code is the escape
+        ([255, 255, 256], 0, 1, 1),
+    ])
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_equal_escape_bytes_compare_ranks(self, seq, i, j, expected, cap):
+        idx = LceIndex(seq, cap)
+        got = idx.lce_many([i, j], [j, i]).tolist()
+        if cap is None or expected < cap:
+            assert got == [expected, expected]
+        else:
+            assert min(got) >= cap
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("length,sigma,seed", [(33, 1, 11), (130, 2, 12), (257, 4, 13)])
+def test_capped_index_all_pairs(length, sigma, seed, cap):
+    # ranks of 300 and up all have the escape code, so the capped index
+    # answers every pair of distinct offsets
+    seq = [300 + r for r in random_sequence(random.Random(seed), length, sigma)]
+    idx = LceIndex(seq, cap)
+    ii, jj = all_pairs(length)
+    got = idx.lce_many(ii, jj)
+    assert idx.suffix_order.size == length
+    assert_capped(seq, zip(ii.tolist(), jj.tolist()), got.tolist(), cap)

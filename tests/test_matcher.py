@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import degmatch.lce as lce
 import degmatch.matcher as matcher
 from degmatch import (
     Alphabet,
@@ -331,6 +332,44 @@ def _block_cases():
         for _ in range(8):
             raw_pattern, raw_text, parse = ADVERSARIAL[family](family_rng)
             yield parse(raw_pattern), parse(raw_text)
+
+
+@pytest.fixture
+def suffix_sorts(monkeypatch):
+    """The arguments of every suffix sort an LCE index runs in the test."""
+    calls = []
+    sort = lce._suffix_array
+    monkeypatch.setattr(lce, "_suffix_array", lambda *args: calls.append(args) or sort(*args))
+    return calls
+
+
+class TestOnDemandIndex:
+    """The LCE index sorts suffixes only when a search's extensions outrun
+    its word budget; the report is the same either way."""
+
+    def test_solid_random_text_is_searched_without_a_sort(self, suffix_sorts):
+        n, m, k_p = 100_000, 64, 7
+        rng = np.random.default_rng(64)
+        bases = np.array(list("ACGT"))[rng.integers(0, 4, n)]
+        raw_pattern = bases[5_000 : 5_000 + m].copy()
+        raw_pattern[rng.choice(m, k_p, replace=False)] = "N"
+        pattern, text = parse_iupac("".join(raw_pattern)), parse_iupac("".join(bases))
+        report = find_occurrences(pattern, text)
+        assert suffix_sorts == []
+        assert 5_001 in report.exact_occurrences
+        assert list(report.exact_occurrences) == naive_match(pattern, text)
+        assert report.lce_queries == sum(b + 1 for b in window_budgets(pattern, text))
+
+    def test_period_3_text_sorts_once_per_search(self, suffix_sorts):
+        raw_pattern = list("ACG" * 80)  # m = 240, in phase with the text
+        raw_pattern[100] = "N"
+        pattern, text = parse_iupac("".join(raw_pattern)), parse_iupac("ACG" * 2_000)
+        for searches in (1, 2):
+            report = find_occurrences(pattern, text)
+            assert len(suffix_sorts) == searches
+            assert report.exact_occurrences == tuple(range(1, 6_000 - 240 + 2, 3))
+            assert list(report.exact_occurrences) == naive_match(pattern, text)
+            assert report.lce_queries == sum(b + 1 for b in window_budgets(pattern, text))
 
 
 class TestBlocks:
