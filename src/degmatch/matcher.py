@@ -168,24 +168,41 @@ def kangaroo_search(
     budgets = budgets[lo : lo + count]
     k = int(budgets.max())
 
-    # round j writes row j, so each round's scatter stays within one row
+    # round j writes row j, so each round's scatter stays within one row.
+    # The live alignments' rows, text offsets, budgets and last mismatch
+    # f are kept packed, and repacked only in a round that retires some.
     entries = np.full((k + 1, count), sentinel, dtype=np.int32)
-    f = np.zeros(count, dtype=np.int64)
     active = np.arange(count, dtype=np.int64)
+    start = active + lo
+    live_budgets = budgets
+    f = np.zeros(count, dtype=np.int64)
+    reached = []
     queries = 0
     for j in range(k + 1):
         if active.size == 0:
             break
-        fa = f[active]
-        q = index.lce_many(active + fa + lo, n + fa)
+        q = index.lce_many(start + f, n + f)
         queries += int(active.size)
-        np.minimum(q, m - fa, out=q)  # never extend past the pattern end
-        mm = fa + q + 1
-        entries[j, active] = mm
-        f[active] = mm
-        active = active[(mm != sentinel) & (budgets[active] > j)]
+        np.minimum(q, m - f, out=q)  # never extend past the pattern end
+        q += f
+        q += 1
+        f = q
+        if active.size == count:
+            entries[j] = f
+        else:
+            entries[j, active] = f
+        at_end = f == sentinel
+        keep = ~at_end
+        keep &= live_budgets > j
+        if not keep.all():
+            reached.append(active[at_end])
+            active, start, live_budgets, f = (
+                active[keep], start[keep], live_budgets[keep], f[keep]
+            )
 
-    approx = np.flatnonzero(f == sentinel) + lo  # the last jump reached the end
+    # every alignment retires by round b_i; these are the ones whose last
+    # jump reached the end
+    approx = np.sort(np.concatenate(reached)) + lo
     table = MismatchTable(entries=entries.T, m=m, budget=k, query_count=queries, first=lo)
     return table, tuple(approx.tolist())
 
