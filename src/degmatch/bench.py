@@ -109,56 +109,45 @@ def parse_grid(text: str) -> GridSpec:
     )
 
 
-def _query_bound(n: int, k: int, grid: GridSpec) -> int:
-    return (k + 1) * (n - grid.m + 1)
+def _time_cell(n: int, k: int, grid: GridSpec) -> BenchCell:
+    spec = RandomInstanceSpec(
+        n=n, m=grid.m, sigma=grid.sigma, k_pattern=k, k_text=0,
+        max_set_size=2, seed=grid.base_seed + 8191 * n + k,
+    )
+    pattern, text = generate_instance(spec)
+    bound = (k + 1) * (n - grid.m + 1)
 
+    build_times = []
+    search_times = []
+    queries = occurrences = 0
+    for _ in range(grid.reps):
+        t0 = time.perf_counter()
+        index = prepare(pattern, text)
+        t1 = time.perf_counter()
+        report = search(pattern, text, index)
+        t2 = time.perf_counter()
+        build_times.append(t1 - t0)
+        search_times.append(t2 - t1)
+        queries = report.lce_queries
+        occurrences = len(report.exact_occurrences)
+        if queries > bound:
+            raise AssertionError(
+                f"LCE query count {queries} exceeds (k+1)(n-m+1) = {bound} at n={n}, k={k}"
+            )
 
-def _time_rep(n: int, k: int, grid: GridSpec, pattern, text):
-    """One timed prepare + search of a cell's instance: (build seconds,
-    search seconds, report), after the query-bound check."""
-    t0 = time.perf_counter()
-    index = prepare(pattern, text)
-    t1 = time.perf_counter()
-    report = search(pattern, text, index)
-    t2 = time.perf_counter()
-    bound = _query_bound(n, k, grid)
-    if report.lce_queries > bound:
-        raise AssertionError(
-            f"LCE query count {report.lce_queries} exceeds (k+1)(n-m+1) = {bound} "
-            f"at n={n}, k={k}"
-        )
-    return t1 - t0, t2 - t1, report
+    return BenchCell(
+        n=n, m=grid.m, k=k, sigma=grid.sigma, reps=grid.reps,
+        build_ms=statistics.median(build_times) * 1e3,
+        search_ms=statistics.median(search_times) * 1e3,
+        lce_queries=queries, query_bound=bound, occurrences=occurrences,
+    )
 
 
 def run_scaling(grid: GridSpec) -> ScalingReport:
     """Time every (n, k) cell of the grid; median over ``grid.reps``
-    repetitions of the same fixed-seed instance.
-
-    The repetitions are interleaved: each round times every cell once,
-    in grid order. On a shared machine a slow spell then costs one
-    repetition of several cells, which the medians drop, instead of every
-    repetition of one cell, which would skew the ratios between cells.
-    """
-    keys = [(n, k) for n in grid.n_values for k in grid.k_values]
-    instances = {
-        (n, k): generate_instance(RandomInstanceSpec(
-            n=n, m=grid.m, sigma=grid.sigma, k_pattern=k, k_text=0,
-            max_set_size=2, seed=grid.base_seed + 8191 * n + k,
-        ))
-        for n, k in keys
-    }
-    runs = {key: [] for key in keys}
-    for _ in range(grid.reps):
-        for key in keys:
-            runs[key].append(_time_rep(*key, grid, *instances[key]))
+    repetitions of the same fixed-seed instance."""
     cells = []
-    for n, k in keys:
-        build_times, search_times, reports = zip(*runs[n, k])
-        cells.append(BenchCell(
-            n=n, m=grid.m, k=k, sigma=grid.sigma, reps=grid.reps,
-            build_ms=statistics.median(build_times) * 1e3,
-            search_ms=statistics.median(search_times) * 1e3,
-            lce_queries=reports[-1].lce_queries, query_bound=_query_bound(n, k, grid),
-            occurrences=len(reports[-1].exact_occurrences),
-        ))
+    for n in grid.n_values:
+        for k in grid.k_values:
+            cells.append(_time_cell(n, k, grid))
     return ScalingReport(cells=tuple(cells))

@@ -118,11 +118,15 @@ def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _leading_bytes(x: np.ndarray) -> np.ndarray:
     """Number of zero low-order bytes of each uint64, 8 for zero: the
     bytes a little-endian word holds before its first nonzero one."""
-    y = x - 1
-    y &= ~x
-    count = np.bitwise_count(y)
+    low = np.negative(x)  # x & -x keeps the lowest set bit, 2^t
+    low &= x
+    # a power of two converts to float exactly, so frexp gives t + 1
+    # (64 for 2^63 read as int64), and 0 when x is 0
+    count = np.frexp(low.view(np.int64))[1]
+    count -= 1
+    count &= 127  # x == 0: -1 becomes 127, which the minimum makes 8
     count >>= 3
-    return count
+    return np.minimum(count, 8, out=count)
 
 
 _BLOCK_BITS = 5

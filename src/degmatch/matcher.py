@@ -187,10 +187,7 @@ def kangaroo_search(
         q += f
         q += 1
         f = q
-        if active.size == count:
-            entries[j] = f
-        else:
-            entries[j, active] = f
+        entries[j, active] = f
         at_end = f == sentinel
         keep = ~at_end
         keep &= live_budgets > j
