@@ -244,6 +244,13 @@ class TestProperties:
         assert exc.value.position == 4
         assert parse_solid(raw[:3], wide).ranks.tolist() == [69, 0, 3]
 
+    @given(st.lists(st.integers(0, 3), max_size=40))
+    def test_parse_solid_ranks_do_not_depend_on_the_characters(self, ranks):
+        # ASCII text takes a table, other text a sort; both give the ranks
+        for alphabet in (Alphabet("abcd"), Alphabet("a\u00e9\U0001F600d")):
+            text = "".join(alphabet.char(r) for r in ranks)
+            assert parse_solid(text, alphabet).ranks.tolist() == ranks
+
     @pytest.mark.parametrize(
         "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
     )

@@ -277,6 +277,17 @@ class TestWordPath:
             assert min(got) >= cap
 
 
+def test_leading_bytes_every_lowest_set_bit():
+    # the byte holding the lowest set bit, whatever lies above it; 8 for 0
+    rng = np.random.default_rng(5)
+    above = rng.integers(0, 2**63, size=32, dtype=np.uint64) * np.uint64(2) | np.uint64(1)
+    for t in range(64):
+        x = above << np.uint64(t)
+        assert lce._leading_bytes(x).tolist() == [t >> 3] * x.size
+    words = np.array([0, 2**64 - 1, 2**63, 2**56 - 1], dtype=np.uint64)
+    assert lce._leading_bytes(words).tolist() == [8, 0, 7, 0]
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3, 8, 64])
 @pytest.mark.parametrize("length,sigma,seed", [(33, 1, 11), (130, 2, 12), (257, 4, 13)])
 def test_capped_index_all_pairs(length, sigma, seed, cap):
