@@ -127,15 +127,18 @@ def _load_text_records(args: argparse.Namespace, stdin) -> list[tuple[str | None
 
 
 def _emit(record_id, report, pattern_length, fmt, diagnostics, out) -> None:
+    positions = report.exact_occurrences
+    if fmt == "positions":
+        if positions:
+            prefix = f"{record_id}:" if record_id is not None else ""
+            out.write(prefix + f"\n{prefix}".join(map(str, positions)) + "\n")
+        return
     verdict_of = {}
     if diagnostics and report.verdicts is not None:
         verdict_of = dict(zip(report.approximate_occurrences, report.verdicts))
     lines = []
-    for pos in report.exact_occurrences:
-        if fmt == "positions":
-            prefix = f"{record_id}:" if record_id is not None else ""
-            lines.append(f"{prefix}{pos}\n")
-        elif fmt == "tsv":
+    for pos in positions:
+        if fmt == "tsv":
             row = [record_id if record_id is not None else "-", str(pos)]
             if diagnostics:
                 row.append(",".join(verdict_of.get(pos - 1, ())))

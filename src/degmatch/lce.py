@@ -14,20 +14,26 @@ The pairs that words leave open go to a constant-time index, built the
 first time a pair needs it. One prefix-doubling pass (a stable numpy
 sort per round) names every suffix's 2^d-prefix, the
 Karp-Miller-Rosenberg names of Manber and Myers: equal names mean equal
-prefixes. Doubling stops once the names are all distinct, or once the
-prefixes reach ``cap``. The last round orders the suffixes, and the
+prefixes. When every rank is below the escape code, the codes are the
+ranks, so the first round sorts the words themselves, read big-endian,
+and names 8-prefixes at once; otherwise it sorts the ranks and names
+single symbols. Doubling stops once the names are all distinct, or once
+the prefixes reach ``cap``. The last round orders the suffixes, and the
 adjacent-suffix LCP array comes from the same rounds by binary lifting,
-one vectorized pass per round. A block-decomposed sparse table answers
+one vectorized pass per round, finished by one word comparison when the
+words seeded the rounds. A block-decomposed sparse table answers
 range-minimum queries over it: per-block prefix/suffix minima plus a
 sparse table over block minima keep the hot query structures small
 enough to stay cache-resident at large L, with a short-span table
-covering ranges inside one block. The LCE of two suffixes is then the
-minimum LCP between their ranks, O(1) per pair.
+covering ranges inside one block. A batch of pairs takes the block
+answer in one pass, and the few ranges inside one block width take the
+short table's instead. The LCE of two suffixes is then the minimum LCP
+between their ranks, O(1) per pair.
 
 Without a cap every answer is exact. With one, an answer is exact below
-the cap and at least the cap otherwise: in an order sorted by
-cap-prefixes, the capped LCE of two suffixes is the smallest capped LCP
-between them.
+the cap and at least the cap otherwise, and never above the LCE: in an
+order sorted by cap-prefixes, the capped LCE of two suffixes is the
+smallest capped LCP between them.
 """
 import numpy as np
 
@@ -43,23 +49,30 @@ class SeparatorNotUnique(ValueError):
 
 
 def _suffix_array(
-    seq: np.ndarray, cap: int | None = None
+    seq: np.ndarray, cap: int | None = None, words: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Suffix order by prefix doubling, and every round's int32 names.
 
-    ``levels[d][p]`` names the 2^d-prefix of the suffix at ``p``. Each
-    round sorts on (name, name 2^d further on), with the keys taken in the
-    previous round's order, so the stable sort only has to order the runs
-    of equal names. Doubling stops once every name is distinct or once
-    the named prefixes are at least ``cap`` long; the order then sorts
-    the suffixes by those prefixes, with ties in no particular order.
+    The first round sorts the ranks and names single symbols. Given
+    ``words``, the little-endian words of one-byte codes that equal the
+    ranks (``LceIndex`` without escapes), it sorts the byte-swapped words
+    instead: read big-endian, a word orders its 8 codes lexicographically,
+    so the first round names 8-prefixes and three rounds are skipped.
+    ``levels[d][p]`` names the 2^(d + s)-prefix of the suffix at ``p``, with
+    s = 3 given words and 0 otherwise. Each later round sorts on (name,
+    name h further on), with the keys built in the previous round's order,
+    so the stable sort only has to order the runs of equal names. Doubling
+    stops once every name is distinct or once the named prefixes are at
+    least ``cap`` long; the order then sorts the suffixes by those
+    prefixes, with ties in no particular order.
     """
     length = len(seq)
-    order = np.argsort(seq, kind="stable").astype(np.int32)
-    sorted_keys = seq[order]
+    h, keys = (1, seq) if words is None else (8, words.byteswap())
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    sorted_keys = keys[order]
+    del keys
     sorted_names = np.zeros(length, dtype=np.int32)
     levels = []
-    h = 1
     while True:
         np.cumsum(sorted_keys[1:] != sorted_keys[:-1], out=sorted_names[1:])
         del sorted_keys
@@ -68,32 +81,42 @@ def _suffix_array(
         levels.append(names)
         if sorted_names[-1] == length - 1 or (cap is not None and h >= cap):
             return order, levels
-        key = names.astype(np.int64) * (length + 1)
-        key[: length - h] += names[h:] + 1
-        sorted_keys = key[order]
-        del key
+        # a suffix whose h-prefix holds the unique separator already has a
+        # name of its own, so clipping its second key changes no order
+        sorted_keys = sorted_names.astype(np.int64)
+        sorted_keys *= length
+        sorted_keys += names.take(order + h, mode="clip")
         step = np.argsort(sorted_keys, kind="stable")
         order = order[step]
         sorted_keys = sorted_keys[step]
         h *= 2
 
 
-def _lcp_array(order: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
+def _lcp_array(
+    order: np.ndarray, levels: list[np.ndarray], words: np.ndarray | None = None
+) -> np.ndarray:
     """lcp[r] = LCP of the suffixes ranked r-1 and r, by binary lifting.
 
-    From the highest round down, a pair whose 2^d-prefixes at its current
-    extension share a name extends by 2^d, so with D + 1 rounds the result
-    is exact below 2^(D+1) and 2^(D+1) - 1 otherwise. Each round is
-    dropped from ``levels`` once it is used. A common prefix never reaches
-    the unique separator, so no offset runs past the end.
+    ``levels`` and ``words`` are those of ``_suffix_array``. From the
+    highest round down, a pair whose prefixes at its current extension
+    share a name extends by the round's prefix length. With words the
+    lowest round names 8-prefixes, so the lift stops less than 8 short,
+    and one comparison of the words there adds the last 0-7 symbols.
+    Rounds up to 2^D give a result exact below 2^(D+1) and no larger than
+    the LCP otherwise. Each round is dropped from ``levels`` once it is
+    used. A common prefix never reaches the unique separator, so no
+    offset runs past the end.
     """
     lcp = np.zeros(order.size, dtype=np.int32)
     ext = lcp[1:]
     left, right = order[:-1], order[1:]
+    shift = 0 if words is None else 3
     while levels:
-        d = len(levels) - 1
+        d = shift + len(levels) - 1
         names = levels.pop()
         ext += (names[left + ext] == names[right + ext]) * np.int32(1 << d)
+    if words is not None:
+        ext += _leading_bytes(words[left + ext] ^ words[right + ext])
     return lcp
 
 
@@ -110,9 +133,21 @@ def _sparse_table(values: np.ndarray, levels: int) -> np.ndarray:
 
 def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """min(values[lo..hi]) per pair, inclusive, from two overlapping
-    power-of-two spans of ``_sparse_table(values, ...)``."""
-    d = (np.frexp(hi - lo + 1)[1] - 1).astype(np.int64)
-    return np.minimum(table[d, lo], table[d, hi - (np.int64(1) << d) + 1])
+    power-of-two spans of ``_sparse_table(values, ...)``. A pair with
+    hi < lo reads some value of the table in bounds, for a caller that
+    masks it out."""
+    width = hi - lo + 1
+    np.maximum(width, 1, out=width)
+    row = np.frexp(width)[1] - 1
+    # offsets into the flat table: a take per span runs faster than
+    # indexing rows and columns
+    first = row * table.shape[1]
+    last = first + hi
+    first += lo
+    last -= np.left_shift(1, row, dtype=row.dtype)
+    last += 1
+    flat = table.reshape(-1)
+    return np.minimum(flat.take(first, mode="clip"), flat.take(last, mode="clip"))
 
 
 def _leading_bytes(x: np.ndarray) -> np.ndarray:
@@ -148,9 +183,11 @@ class LceIndex:
 
     The suffix order, rank, LCP array and range-minimum tables are empty
     arrays until a pair first needs them; only that build and the word
-    budget change after construction. With ``cap``, doubling stops once
-    prefixes are ``cap`` long, and an answer is exact when it is below
-    ``cap`` and at least ``cap`` otherwise.
+    budget change after construction. Without escapes the build seeds
+    prefix doubling with the words, so it starts at 8-prefixes. With
+    ``cap``, doubling stops once prefixes are ``cap`` long, and an answer
+    is exact when it is below ``cap`` and at least ``cap`` otherwise; it
+    never exceeds the LCE.
     """
 
     __slots__ = (
@@ -186,8 +223,9 @@ class LceIndex:
 
     def _build(self) -> None:
         """Suffix order, rank, LCP array and range-minimum tables."""
-        order, levels = _suffix_array(self.seq, self.cap)
-        self._build_rmq(_lcp_array(order, levels))
+        words = None if self._escapes else self._words
+        order, levels = _suffix_array(self.seq, self.cap, words)
+        self._build_rmq(_lcp_array(order, levels, words))
         rank = np.empty_like(order)
         rank[order] = np.arange(self.length, dtype=np.int32)
         self.suffix_order, self.rank, self.lcp = order, rank, self._short[0]
@@ -219,32 +257,27 @@ class LceIndex:
 
     def _index_lce(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """LCE of each pair of distinct offsets from the range minimum of
-        the LCP array between their ranks; builds the index first if needed."""
+        the LCP array between their ranks; builds the index first if needed.
+
+        Every pair takes the block answer in one pass: the suffix minimum
+        of the first block, the prefix minimum of the last, and, where
+        whole blocks lie between, their minimum. Pairs whose range fits
+        in one block width then take the short table's answer instead.
+        """
         if self.suffix_order.size == 0:
             self._build()
         ra = self.rank[i]
         rb = self.rank[j]
-        lo = np.minimum(ra, rb).astype(np.int64) + 1
-        hi = np.maximum(ra, rb).astype(np.int64)
-        span = hi - lo + 1
-        out = np.empty(lo.shape, dtype=np.int64)
-
-        short = np.flatnonzero(span <= _BLOCK)
-        if short.size:
-            out[short] = _range_min(self._short, lo[short], hi[short])
-
-        long = np.flatnonzero(span > _BLOCK)
-        if long.size:
-            llo = lo[long]
-            lhi = hi[long]
-            edge = np.minimum(self._suffix_min[llo], self._prefix_min[lhi]).astype(np.int64)
-            bl = (llo >> _BLOCK_BITS) + 1
-            bh = (lhi >> _BLOCK_BITS) - 1
-            inner = np.flatnonzero(bl <= bh)
-            if inner.size:
-                inner_min = _range_min(self._block_table, bl[inner], bh[inner])
-                edge[inner] = np.minimum(edge[inner], inner_min)
-            out[long] = edge
+        lo = np.minimum(ra, rb)
+        lo += 1
+        hi = np.maximum(ra, rb, out=ra)
+        out = np.minimum(self._suffix_min[lo], self._prefix_min[hi])
+        first = (lo >> _BLOCK_BITS) + 1
+        last = (hi >> _BLOCK_BITS) - 1
+        inner = first <= last
+        np.minimum(out, _range_min(self._block_table, first, last), out=out, where=inner)
+        short = np.flatnonzero(hi - lo < _BLOCK)
+        out[short] = _range_min(self._short, lo[short], hi[short])
         return out
 
     def _compare(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -274,24 +307,42 @@ class LceIndex:
             and 0 <= int(j.min()) and int(j.max()) < self.length
         ):
             raise OutOfRange("offset outside the indexed sequence")
-        cap = self.length if self.cap is None else self.cap
         out = self._compare(i, j).astype(np.int64)
         pending = np.flatnonzero(out >= 8)
-        same = pending[i[pending] == j[pending]]
-        out[same] = self.length - i[same]
-        pending = pending[i[pending] != j[pending]]
-        to_index = [pending[out[pending] > 8]]
-        pending = pending[out[pending] == 8]
-        while pending.size:
-            pending = pending[out[pending] < cap]
-            if self.suffix_order.size or pending.size > self._word_budget:
-                break
-            self._word_budget -= pending.size
-            equal = self._compare(i[pending] + out[pending], j[pending] + out[pending])
-            out[pending] += equal
-            to_index.append(pending[equal > 8])
-            pending = pending[equal == 8]
-        rest = np.concatenate([*to_index, pending])
-        if rest.size:
-            out[rest] = self._index_lce(i[rest], j[rest])
+        i, j = i[pending], j[pending]
+        same = i == j
+        if same.any():
+            out[pending[same]] = self.length - i[same]
+            differ = ~same
+            pending, i, j = pending[differ], i[differ], j[differ]
+        if pending.size and self.suffix_order.size == 0:
+            rest = self._extend_by_words(out, pending, i, j)
+            pending, i, j = pending[rest], i[rest], j[rest]
+        if pending.size:
+            out[pending] = self._index_lce(i, j)
         return out
+
+    def _extend_by_words(
+        self, out: np.ndarray, pending: np.ndarray, i: np.ndarray, j: np.ndarray
+    ) -> np.ndarray:
+        """Extends the pairs of distinct offsets ``i``, ``j`` at positions
+        ``pending`` of ``out`` word by word while they are below the cap
+        and the word budget lasts, in ``out``. Returns the indices into
+        ``pending`` of the pairs left for the index: those stopped by an
+        equal escape byte, and those still open when the budget ran out."""
+        cap = self.length if self.cap is None else self.cap
+        ext = out[pending]
+        to_index = [np.flatnonzero(ext > 8)]
+        extending = np.flatnonzero(ext == 8)
+        while extending.size:
+            extending = extending[ext[extending] < cap]
+            if extending.size > self._word_budget:
+                break
+            self._word_budget -= extending.size
+            at = ext[extending]
+            equal = self._compare(i[extending] + at, j[extending] + at)
+            ext[extending] += equal
+            to_index.append(extending[equal > 8])
+            extending = extending[equal == 8]
+        out[pending] = ext
+        return np.concatenate([*to_index, extending])

@@ -24,7 +24,8 @@ both strings' ranks, ``search`` runs stages 2 and 3 with that index, and
 ``find_occurrences`` checks its inputs and chains the two. The index
 compares 8 symbols per word first; its suffix order, LCP array and RMQ
 are built in the middle of a search, the first time a query needs them,
-and only to depth m, since every jump is clamped to the pattern end.
+and only to the depth of the pattern's longest solid run, which bounds
+every extension from the text into the pattern.
 
 Memory: the index is O(n + m): the ranks and one 64-bit word per symbol,
 plus the suffix structures when a search builds them, which a search
@@ -153,7 +154,7 @@ def kangaroo_search(
     pattern with at most b_i mismatches. ``budgets`` is the array
     ``window_budgets(pattern, text)`` over all alignments, computed here
     when not given.
-    Sum of (b_i + 1) queries over the range, at most
+    At most sum of (b_i + 1) queries over the range, and at most
     (k_total + 1)(n - m + 1) in total, each O(1) amortized. Returns the
     range's table and its approximate alignments.
     """
@@ -272,20 +273,27 @@ _filter_general = filter_occurrences
 
 
 def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
-    """The LCE index over text + pattern + separator, capped at m.
+    """The LCE index over text + pattern + separator, capped at the
+    pattern's longest solid run R.
 
     The pattern keeps its placeholder ranks sigma .. sigma + k_p - 1, the
     text's move up to the next k_t ranks, and the separator is
     sigma + k_total, so every placeholder mismatches every other symbol
-    and the separator is unique. The kangaroo loop clamps every extension
-    to the pattern end, so answers need only be exact below m.
+    and the separator is unique. Each pattern placeholder rank occurs
+    once, so an extension from a text offset into the pattern stops at
+    the next placeholder or at the separator: every LCE the kangaroo loop
+    asks for is at most R. The capped index answers exactly below R,
+    at least R otherwise and never above the LCE, so it answers all of
+    them exactly.
     """
     sigma, k_p = len(pattern.alphabet), len(pattern.sets)
     separator = sigma + k_p + len(text.sets)
     seq = np.concatenate(
         [substitute(text, sigma + k_p), pattern.ranks, np.asarray([separator], dtype=np.int32)]
     )
-    return LceIndex(seq, cap=len(pattern))
+    placeholders = np.flatnonzero(pattern.ranks >= sigma)
+    longest_run = int(np.diff(placeholders, prepend=-1, append=len(pattern)).max()) - 1
+    return LceIndex(seq, cap=longest_run)
 
 
 def _block_rows(budgets: np.ndarray, lo: int) -> int:
@@ -345,11 +353,13 @@ def find_occurrences(
 
     Runs the full substitute / LCE-jump / filter pipeline; a pattern
     longer than the text yields an empty report. After index construction
-    the search makes sum_i (b_i + 1) LCE queries, where
+    the search makes at most sum_i (b_i + 1) LCE queries, exactly that
+    many on a solid text, where
     b_i = min(m, k_pattern + text placeholders in window i): O(k_pattern * n)
     on a solid text and at most O(k_total * n) on a degenerate one. The
     index compares words of 8 symbols and builds its suffix structures,
-    still O(n + m), only when a long or escaped extension needs them.
+    still O(n + m), only when a long or escaped extension needs them, and
+    only to the depth of the pattern's longest solid run.
     Memory is the O(n + m) index plus one block's mismatch table of at
     most ``BLOCK_CELLS`` = 2^18 int32 cells (one row when a single
     budget is wider) and that block's O(rows) round temporaries.

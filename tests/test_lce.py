@@ -103,12 +103,15 @@ NAIVE_SORT_CASES = {
 
 @pytest.mark.parametrize("seq", NAIVE_SORT_CASES.values(), ids=NAIVE_SORT_CASES.keys())
 def test_arrays_match_naive_suffix_sort(seq):
-    suffix_order, levels = _suffix_array(np.asarray(seq, dtype=np.int32))
-    rank = levels[-1]  # uncapped, the last round's names are all distinct
     order, naive_rank, lcp = naive_index(seq)
-    assert suffix_order.tolist() == order
-    assert rank.tolist() == naive_rank
-    assert _lcp_array(suffix_order, levels).tolist() == lcp
+    # seeded by the ranks, and by the words: every rank is below the
+    # escape code, so the words hold exact codes
+    for words in (None, LceIndex(seq)._words):
+        suffix_order, levels = _suffix_array(np.asarray(seq, dtype=np.int32), None, words)
+        rank = levels[-1]  # uncapped, the last round's names are all distinct
+        assert suffix_order.tolist() == order
+        assert rank.tolist() == naive_rank
+        assert _lcp_array(suffix_order, levels, words).tolist() == lcp
 
 
 class TestQueries:

@@ -336,10 +336,17 @@ def _block_cases():
 
 @pytest.fixture
 def suffix_sorts(monkeypatch):
-    """The arguments of every suffix sort an LCE index runs in the test."""
+    """One (seeded by words, doubling rounds) pair for every suffix sort
+    an LCE index runs in the test."""
     calls = []
     sort = lce._suffix_array
-    monkeypatch.setattr(lce, "_suffix_array", lambda *args: calls.append(args) or sort(*args))
+
+    def recording_sort(seq, cap, words):
+        order, levels = sort(seq, cap, words)
+        calls.append((words is not None, len(levels)))
+        return order, levels
+
+    monkeypatch.setattr(lce, "_suffix_array", recording_sort)
     return calls
 
 
@@ -366,10 +373,44 @@ class TestOnDemandIndex:
         pattern, text = parse_iupac("".join(raw_pattern)), parse_iupac("ACG" * 2_000)
         for searches in (1, 2):
             report = find_occurrences(pattern, text)
-            assert len(suffix_sorts) == searches
+            # the longest solid run is 139, so the words seed 8-prefixes
+            # and doubling runs h = 8, 16, ..., 256
+            assert suffix_sorts == [(True, 6)] * searches
             assert report.exact_occurrences == tuple(range(1, 6_000 - 240 + 2, 3))
             assert list(report.exact_occurrences) == naive_match(pattern, text)
             assert report.lce_queries == sum(b + 1 for b in window_budgets(pattern, text))
+
+    @pytest.mark.parametrize("text_ns", [0, 300])
+    @pytest.mark.parametrize("run", [8, 9, 16, 64, 65, 128])
+    def test_longest_solid_run_is_answered_exactly(self, suffix_sorts, run, text_ns):
+        # the index is capped at the longest solid run R, and doubling stops
+        # at h = R when R is a power of two; an in-phase window matches
+        # every run of the pattern through to the next N
+        raw_pattern = list("ACG" * (4 * run // 3 + 2))[: 4 * run + 3]
+        for p in range(run, len(raw_pattern), run + 1):
+            raw_pattern[p] = "N"
+        raw_text = list("ACG" * 1_000)
+        # 300 text Ns take ranks past 254, which share the escape code
+        for p in random.Random(run).sample(range(len(raw_text)), text_ns):
+            raw_text[p] = "N"
+        pattern, text = parse_iupac("".join(raw_pattern)), parse_iupac("".join(raw_text))
+        report = find_occurrences(pattern, text)
+        assert len(report.exact_occurrences) >= 3_000 // 3 - len(raw_pattern) // 3
+        assert list(report.exact_occurrences) == naive_match(pattern, text)
+        budgets = window_budgets(pattern, text)
+        # alignment i jumps once per mismatch of its substituted window, up
+        # to its budget, and once more; on a solid text that is b_i + 1
+        seq = prepare(pattern, text).seq
+        n, m = len(text), len(pattern)
+        windows = np.lib.stride_tricks.sliding_window_view(seq[:n], m)
+        distances = np.count_nonzero(windows != seq[n : n + m], axis=1)
+        assert report.lce_queries == int(np.sum(np.minimum(budgets, distances) + 1))
+        if text_ns == 0:
+            assert report.lce_queries == sum(b + 1 for b in budgets)
+        # a solid text seeds doubling with the words; with R = 8 the first
+        # word of every pair reaches the cap, so no index is built
+        assert all(seeded == (text_ns == 0) for seeded, _ in suffix_sorts)
+        assert len(suffix_sorts) == (run > 8 or text_ns > 0)
 
 
 class TestBlocks:
