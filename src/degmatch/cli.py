@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 
-from . import bench as bench_mod
 from .core import (
     Alphabet,
     DegenerateString,
@@ -165,8 +164,9 @@ def run(argv=None, out=None, err=None, stdin=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
 
     if args.bench is not None:
-        grid = bench_mod.parse_grid(args.bench)
-        out.write(bench_mod.run_scaling(grid).to_tsv() + "\n")
+        from . import bench  # only here: its imports cost every other run
+
+        out.write(bench.run_scaling(bench.parse_grid(args.bench)).to_tsv() + "\n")
         return 0
     if (args.pattern is None) == (args.pattern_file is None):
         raise ValueError("exactly one of --pattern or --pattern-file is required")

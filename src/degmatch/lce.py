@@ -1,34 +1,32 @@
 """Longest-common-extension queries over a rank sequence.
 
 ``lce_many`` answers most pairs of offsets by direct comparison, the
-"DirectComp" hybrid of Ilie, Navarro and Tinta (2010): every rank gets a
-one-byte code, min(rank, 255), and one gather of a 64-bit word compares
-8 symbols of a pair at once. Every rank of 255 or more shares the escape
-code 0xFF, so a comparison that runs into an equal escape byte is not
-settled by words. A pair whose 8 codes all match goes on word by word
-while a budget of L words per index lasts (L is the sequence length), so
-a few long extensions need no index. Over the life of an index the words
-read are at most the number of pairs plus L.
+"DirectComp" hybrid of Ilie, Navarro and Tinta (2010): every rank is
+stored as a code of 1, 2 or 4 bytes, the narrowest width that holds the
+largest rank, so codes always equal ranks, and one gather of a 64-bit
+word compares the 8, 4 or 2 codes of a pair that it holds at once. A
+pair whose codes all match goes on word by word while a budget of L
+words per index lasts (L is the sequence length), so a few long
+extensions need no index. Over the life of an index the words read are
+at most the number of pairs plus L.
 
 The pairs that words leave open go to a constant-time index, built the
 first time a pair needs it. One prefix-doubling pass (a stable numpy
-sort per round) names every suffix's 2^d-prefix, the
+sort per round) names every suffix's h-prefix, the
 Karp-Miller-Rosenberg names of Manber and Myers: equal names mean equal
-prefixes. When every rank is below the escape code, the codes are the
-ranks, so the first round sorts the words themselves, read big-endian,
-and names 8-prefixes at once; otherwise it sorts the ranks and names
-single symbols. Doubling stops once the names are all distinct, or once
-the prefixes reach ``cap``. The last round orders the suffixes, and the
+prefixes. The first round sorts the words themselves, read in code
+order, and names prefixes one word long; each later round doubles h.
+Doubling stops once the names are all distinct, or once the prefixes
+reach ``cap``. The last round orders the suffixes, and the
 adjacent-suffix LCP array comes from the same rounds by binary lifting,
-one vectorized pass per round, finished by one word comparison when the
-words seeded the rounds. A block-decomposed sparse table answers
-range-minimum queries over it: per-block prefix/suffix minima plus a
-sparse table over block minima keep the hot query structures small
-enough to stay cache-resident at large L, with a short-span table
-covering ranges inside one block. A batch of pairs takes the block
-answer in one pass, and the few ranges inside one block width take the
-short table's instead. The LCE of two suffixes is then the minimum LCP
-between their ranks, O(1) per pair.
+one vectorized pass per round, finished by one word comparison. A
+block-decomposed sparse table answers range-minimum queries over it:
+per-block prefix/suffix minima plus a sparse table over block minima
+keep the hot query structures small enough to stay cache-resident at
+large L, with a short-span table covering ranges inside one block. A
+batch of pairs takes the block answer in one pass, and the few ranges
+inside one block width take the short table's instead. The LCE of two
+suffixes is then the minimum LCP between their ranks, O(1) per pair.
 
 Without a cap every answer is exact. With one, an answer is exact below
 the cap and at least the cap otherwise, and never above the LCE: in an
@@ -49,25 +47,25 @@ class SeparatorNotUnique(ValueError):
 
 
 def _suffix_array(
-    seq: np.ndarray, cap: int | None = None, words: np.ndarray | None = None
+    words: np.ndarray, shift: int, cap: int | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Suffix order by prefix doubling, and every round's int32 names.
 
-    The first round sorts the ranks and names single symbols. Given
-    ``words``, the little-endian words of one-byte codes that equal the
-    ranks (``LceIndex`` without escapes), it sorts the byte-swapped words
-    instead: read big-endian, a word orders its 8 codes lexicographically,
-    so the first round names 8-prefixes and three rounds are skipped.
-    ``levels[d][p]`` names the 2^(d + s)-prefix of the suffix at ``p``, with
-    s = 3 given words and 0 otherwise. Each later round sorts on (name,
-    name h further on), with the keys built in the previous round's order,
-    so the stable sort only has to order the runs of equal names. Doubling
-    stops once every name is distinct or once the named prefixes are at
-    least ``cap`` long; the order then sorts the suffixes by those
-    prefixes, with ties in no particular order.
+    ``words`` and ``shift`` are those of ``LceIndex``: the word at every
+    offset, holding the next w = 64 >> ``shift`` codes, which equal the
+    ranks. Each code is stored big-endian, so a byte-swapped word reads
+    its codes in order, most significant first, and sorting the swapped
+    words orders their w-prefixes lexicographically. ``levels[d][p]``
+    names the (w * 2^d)-prefix of the suffix at ``p``. Each later round
+    sorts on (name, name h further on), with the keys built in the
+    previous round's order, so the stable sort only has to order the runs
+    of equal names. Doubling stops once every name is distinct or once the
+    named prefixes are at least ``cap`` long; the order then sorts the
+    suffixes by those prefixes, with ties in no particular order.
     """
-    length = len(seq)
-    h, keys = (1, seq) if words is None else (8, words.byteswap())
+    length = words.size
+    h = 64 >> shift
+    keys = words.byteswap()
     order = np.argsort(keys, kind="stable").astype(np.int32)
     sorted_keys = keys[order]
     del keys
@@ -93,30 +91,28 @@ def _suffix_array(
 
 
 def _lcp_array(
-    order: np.ndarray, levels: list[np.ndarray], words: np.ndarray | None = None
+    order: np.ndarray, levels: list[np.ndarray], words: np.ndarray, shift: int
 ) -> np.ndarray:
     """lcp[r] = LCP of the suffixes ranked r-1 and r, by binary lifting.
 
-    ``levels`` and ``words`` are those of ``_suffix_array``. From the
-    highest round down, a pair whose prefixes at its current extension
-    share a name extends by the round's prefix length. With words the
-    lowest round names 8-prefixes, so the lift stops less than 8 short,
-    and one comparison of the words there adds the last 0-7 symbols.
-    Rounds up to 2^D give a result exact below 2^(D+1) and no larger than
-    the LCP otherwise. Each round is dropped from ``levels`` once it is
-    used. A common prefix never reaches the unique separator, so no
-    offset runs past the end.
+    ``levels``, ``words`` and ``shift`` are those of ``_suffix_array``.
+    From the highest round down, a pair whose prefixes at its current
+    extension share a name extends by the round's prefix length, w * 2^d
+    for w = 64 >> ``shift`` codes per word. The lowest round names
+    w-prefixes, so the lift stops less than w short, and one comparison of
+    the words there adds the leading equal codes. Rounds up to w * 2^D give
+    a result exact below w * 2^(D+1) and no larger than the LCP otherwise.
+    Each round is dropped from ``levels`` once it is used. A common prefix
+    never reaches the unique separator, so no offset runs past the end.
     """
     lcp = np.zeros(order.size, dtype=np.int32)
     ext = lcp[1:]
     left, right = order[:-1], order[1:]
-    shift = 0 if words is None else 3
     while levels:
-        d = shift + len(levels) - 1
+        step = np.int32((64 >> shift) << (len(levels) - 1))
         names = levels.pop()
-        ext += (names[left + ext] == names[right + ext]) * np.int32(1 << d)
-    if words is not None:
-        ext += _leading_bytes(words[left + ext] ^ words[right + ext])
+        ext += (names[left + ext] == names[right + ext]) * step
+    ext += _leading_codes(words[left + ext] ^ words[right + ext], shift)
     return lcp
 
 
@@ -150,25 +146,23 @@ def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(flat.take(first, mode="clip"), flat.take(last, mode="clip"))
 
 
-def _leading_bytes(x: np.ndarray) -> np.ndarray:
-    """Number of zero low-order bytes of each uint64, 8 for zero: the
-    bytes a little-endian word holds before its first nonzero one."""
+def _leading_codes(x: np.ndarray, shift: int) -> np.ndarray:
+    """Number of zero low-order codes of 2^``shift`` bits in each uint64,
+    64 >> ``shift`` for zero: the codes a little-endian word of XORed codes
+    holds before its first nonzero one."""
     low = np.negative(x)  # x & -x keeps the lowest set bit, 2^t
     low &= x
     # a power of two converts to float exactly, so frexp gives t + 1
     # (64 for 2^63 read as int64), and 0 when x is 0
     count = np.frexp(low.view(np.int64))[1]
     count -= 1
-    count &= 127  # x == 0: -1 becomes 127, which the minimum makes 8
-    count >>= 3
-    return np.minimum(count, 8, out=count)
+    count &= 127  # x == 0: -1 becomes 127, which the minimum makes 64 >> shift
+    count >>= shift
+    return np.minimum(count, 64 >> shift, out=count)
 
 
 _BLOCK_BITS = 5
 _BLOCK = 1 << _BLOCK_BITS
-_ESCAPE = 0xFF
-_ONES = np.uint64(0x0101010101010101)
-_HIGHS = np.uint64(0x8080808080808080)
 
 
 class LceIndex:
@@ -179,21 +173,23 @@ class LceIndex:
     suffix is a prefix of another, so every extension stops at a genuine
     symbol difference. The index keeps the ranks as int32, without a copy
     when ``seq`` is already a contiguous int32 array, and the 64-bit word
-    of codes that starts at every offset (8 bytes per symbol).
+    of codes that starts at every offset (8 bytes per symbol). A code is
+    its rank in 1, 2 or 4 bytes, the narrowest width that holds the
+    largest rank, so a word holds 8, 4 or 2 codes.
 
     The suffix order, rank, LCP array and range-minimum tables are empty
     arrays until a pair first needs them; only that build and the word
-    budget change after construction. Without escapes the build seeds
-    prefix doubling with the words, so it starts at 8-prefixes. With
-    ``cap``, doubling stops once prefixes are ``cap`` long, and an answer
-    is exact when it is below ``cap`` and at least ``cap`` otherwise; it
-    never exceeds the LCE.
+    budget change after construction. The build seeds prefix doubling
+    with the words, so it starts at prefixes one word long. With ``cap``,
+    doubling stops once prefixes are ``cap`` long, and an answer is exact
+    when it is below ``cap`` and at least ``cap`` otherwise; it never
+    exceeds the LCE.
     """
 
     __slots__ = (
         "seq", "length", "cap", "suffix_order", "rank", "lcp",
         "_short", "_prefix_min", "_suffix_min", "_block_table",
-        "_words", "_escapes", "_word_budget",
+        "_words", "_shift", "_word_budget",
     )
 
     def __init__(self, seq, cap: int | None = None):
@@ -207,13 +203,15 @@ class LceIndex:
         self.seq = arr
         self.length = int(arr.size)
         self.cap = cap
-        # 8 zero bytes of padding let the word at every offset be read
-        codes = np.zeros(arr.size + 8, dtype=np.uint8)
-        np.minimum(arr, _ESCAPE, out=codes[: arr.size], casting="unsafe")
-        self._escapes = bool(codes.max() == _ESCAPE)
+        top = int(arr.max())
+        width, self._shift = (1, 3) if top < 1 << 8 else (2, 4) if top < 1 << 16 else (4, 5)
+        # big-endian codes, then one word of zero codes as padding, so the
+        # word at every offset can be read
+        codes = np.zeros(arr.size + (64 >> self._shift), dtype=f">u{width}")
+        codes[: arr.size] = arr
         # an aligned copy of the overlapping words: gathers from the
         # unaligned view itself run several times slower
-        self._words = np.ndarray((arr.size,), "<u8", buffer=codes, strides=(1,)).copy()
+        self._words = np.ndarray((arr.size,), "<u8", buffer=codes, strides=(width,)).copy()
         self._words.flags.writeable = False
         self._word_budget = self.length
         self.suffix_order = self.rank = self.lcp = np.empty(0, dtype=np.int32)
@@ -223,9 +221,8 @@ class LceIndex:
 
     def _build(self) -> None:
         """Suffix order, rank, LCP array and range-minimum tables."""
-        words = None if self._escapes else self._words
-        order, levels = _suffix_array(self.seq, self.cap, words)
-        self._build_rmq(_lcp_array(order, levels, words))
+        order, levels = _suffix_array(self._words, self._shift, self.cap)
+        self._build_rmq(_lcp_array(order, levels, self._words, self._shift))
         rank = np.empty_like(order)
         rank[order] = np.arange(self.length, dtype=np.int32)
         self.suffix_order, self.rank, self.lcp = order, rank, self._short[0]
@@ -282,23 +279,18 @@ class LceIndex:
 
     def _compare(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Codes the words at offsets ``i`` and ``j`` share before their
-        first difference, 0 to 8, or 9 when an escape byte lies among them:
-        that byte is equal on both sides, the ranks behind it may not be."""
-        a = self._words[i]
-        equal = _leading_bytes(a ^ self._words[j])
-        if self._escapes:
-            equal[_leading_bytes((~a - _ONES) & a & _HIGHS) < equal] = 9
-        return equal
+        first difference, from 0 up to all of a word's 64 >> shift."""
+        return _leading_codes(self._words[i] ^ self._words[j], self._shift)
 
     def lce_many(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Longest common prefix of the suffixes at offsets ``i[x]`` and
         ``j[x]`` (0-based) for every x, O(1) amortized each; raises
         ``OutOfRange`` when an offset is outside the sequence.
 
-        Each pair first compares one word of 8 codes. A pair that matched
-        all 8 without an escape goes on word by word while the word budget
-        lasts and the index is not built yet; whatever is still open, and
-        every pair stopped by an equal escape byte, goes to the index.
+        Each pair first compares one word of codes. A pair that matched
+        all of them goes on word by word while the word budget lasts and
+        the index is not built yet; whatever is still open goes to the
+        index.
         """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
@@ -308,7 +300,7 @@ class LceIndex:
         ):
             raise OutOfRange("offset outside the indexed sequence")
         out = self._compare(i, j).astype(np.int64)
-        pending = np.flatnonzero(out >= 8)
+        pending = np.flatnonzero(out == 64 >> self._shift)
         i, j = i[pending], j[pending]
         same = i == j
         if same.any():
@@ -326,14 +318,13 @@ class LceIndex:
         self, out: np.ndarray, pending: np.ndarray, i: np.ndarray, j: np.ndarray
     ) -> np.ndarray:
         """Extends the pairs of distinct offsets ``i``, ``j`` at positions
-        ``pending`` of ``out`` word by word while they are below the cap
-        and the word budget lasts, in ``out``. Returns the indices into
-        ``pending`` of the pairs left for the index: those stopped by an
-        equal escape byte, and those still open when the budget ran out."""
+        ``pending`` of ``out``, whose first words matched in full, word by
+        word while they are below the cap and the word budget lasts, in
+        ``out``. Returns the indices into ``pending`` of the pairs still
+        open when the budget ran out, which are left for the index."""
         cap = self.length if self.cap is None else self.cap
         ext = out[pending]
-        to_index = [np.flatnonzero(ext > 8)]
-        extending = np.flatnonzero(ext == 8)
+        extending = np.arange(pending.size)
         while extending.size:
             extending = extending[ext[extending] < cap]
             if extending.size > self._word_budget:
@@ -342,7 +333,6 @@ class LceIndex:
             at = ext[extending]
             equal = self._compare(i[extending] + at, j[extending] + at)
             ext[extending] += equal
-            to_index.append(extending[equal > 8])
-            extending = extending[equal == 8]
+            extending = extending[equal == 64 >> self._shift]
         out[pending] = ext
-        return np.concatenate([*to_index, extending])
+        return extending

@@ -2,30 +2,35 @@
 
 Stage 1 happens at parse time: a ``DegenerateString`` stores every
 non-solid symbol as a fresh placeholder rank outside the base alphabet,
-so its ranks form a solid string that mismatches the text at exactly
-those positions, and it keeps the k sets beside them. Stage 2 finds, for
-every alignment, the first k+1 mismatch positions with one constant-time
-LCE jump each. Stage 3 gives every recorded mismatch of an approximate
-alignment one verdict, in pattern order: fake when the pattern set and
-the text set there intersect, real otherwise. An alignment is an exact
-occurrence iff all of its verdicts are fake.
+and it keeps the k sets beside them. Stage 2 finds, for every alignment,
+the first k+1 mismatch positions with one constant-time LCE jump each.
+Stage 3 gives every recorded mismatch of an approximate alignment one
+verdict, in pattern order: fake when the pattern set and the text set
+there intersect, real otherwise. An alignment is an exact occurrence iff
+all of its verdicts are fake.
 
-A degenerate text is handled the same way: its non-solid symbols have
-their own placeholder ranks, which ``prepare`` moves past the pattern's
-before it indexes both strings. An occurrence can only mismatch where
-the pattern or its own text window holds a placeholder, so alignment i
-gets the budget b_i = min(m, k_pattern + t_i), where t_i counts the text
+Stage 2 only asks for the LCE of a text offset and a pattern offset,
+clipped at the pattern end, the kangaroo jumps of Landau and Vishkin.
+Over the positions those read, a text placeholder and a pattern
+placeholder never match each other or any solid symbol, so ``prepare``
+indexes three codes past the base alphabet of sigma symbols: sigma for
+every text placeholder, sigma + 1 for every pattern placeholder and
+sigma + 2 for the separator. The pattern's codes then mismatch the text
+at exactly its placeholders. An occurrence can only mismatch where the
+pattern or its own text window holds a placeholder, so alignment i gets
+the budget b_i = min(m, k_pattern + t_i), where t_i counts the text
 placeholders inside window i. On a solid text every b_i is k_pattern,
 and the recorded mismatches of an approximate alignment are exactly the
 pattern placeholders.
 
 Three entry points run the stages: ``prepare`` builds the LCE index over
-both strings' ranks, ``search`` runs stages 2 and 3 with that index, and
+both strings' codes, ``search`` runs stages 2 and 3 with that index, and
 ``find_occurrences`` checks its inputs and chains the two. The index
-compares 8 symbols per word first; its suffix order, LCP array and RMQ
-are built in the middle of a search, the first time a query needs them,
-and only to the depth of the pattern's longest solid run, which bounds
-every extension from the text into the pattern.
+compares a word of 8 codes per pair first (4 or 2 when sigma + 2 needs
+a wider code); its suffix order, LCP array and RMQ are built in the
+middle of a search, the first time a query needs them, and only to the
+depth of the pattern's longest solid run, which bounds every extension
+from the text into the pattern.
 
 Memory: the index is O(n + m): the ranks and one 64-bit word per symbol,
 plus the suffix structures when a search builds them, which a search
@@ -56,11 +61,10 @@ REAL = "real"
 BLOCK_CELLS = 1 << 18
 
 
-def substitute(s: DegenerateString, first_placeholder_rank: int) -> np.ndarray:
-    """The ranks of ``s`` with its placeholders moved to start at
-    ``first_placeholder_rank``; solid symbols keep their base rank."""
-    sigma = len(s.alphabet)
-    return np.where(s.ranks < sigma, s.ranks, s.ranks + (first_placeholder_rank - sigma))
+def substitute(s: DegenerateString, code: int) -> np.ndarray:
+    """The ranks of ``s`` with every placeholder replaced by ``code``;
+    solid symbols keep their base rank."""
+    return np.where(s.ranks < len(s.alphabet), s.ranks, code)
 
 
 def precompute_membership(s: DegenerateString) -> np.ndarray:
@@ -147,7 +151,7 @@ def kangaroo_search(
     each mismatch with one LCE query.
 
     ``index`` comes from ``prepare``: it is built over text + pattern +
-    separator, with the text's placeholder ranks distinct from the
+    separator, with the text's placeholders coded apart from the
     pattern's, and the pattern is no longer than the text. Alignment i
     makes at most b_i + 1 jumps and is an approximate occurrence when one
     of them reaches the sentinel m+1, i.e. the window matched the whole
@@ -167,7 +171,7 @@ def kangaroo_search(
         budgets = window_budgets(pattern, text)
     lo, count = alignments.start, len(alignments)
     budgets = budgets[lo : lo + count]
-    k = int(budgets.max())
+    k = int(budgets.max(initial=0))  # an empty range gives a 0-row table
 
     # round j writes row j, so each round's scatter stays within one row.
     # The live alignments' rows, text offsets, budgets and last mismatch
@@ -177,7 +181,7 @@ def kangaroo_search(
     start = active + lo
     live_budgets = budgets
     f = np.zeros(count, dtype=np.int64)
-    reached = []
+    reached = [np.empty(0, dtype=np.int64)]  # so an empty range concatenates
     queries = 0
     for j in range(k + 1):
         if active.size == 0:
@@ -276,21 +280,24 @@ def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
     """The LCE index over text + pattern + separator, capped at the
     pattern's longest solid run R.
 
-    The pattern keeps its placeholder ranks sigma .. sigma + k_p - 1, the
-    text's move up to the next k_t ranks, and the separator is
-    sigma + k_total, so every placeholder mismatches every other symbol
-    and the separator is unique. Each pattern placeholder rank occurs
-    once, so an extension from a text offset into the pattern stops at
-    the next placeholder or at the separator: every LCE the kangaroo loop
-    asks for is at most R. The capped index answers exactly below R,
-    at least R otherwise and never above the LCE, so it answers all of
-    them exactly.
+    Every text placeholder gets the code sigma, every pattern placeholder
+    sigma + 1 and the separator sigma + 2, so a placeholder mismatches
+    every symbol of the other string and the separator is unique. The
+    text never holds the pattern code, so every LCE from the text into
+    the pattern stops within R, at the next pattern placeholder or at the
+    separator. The capped index answers exactly below R, at least R
+    otherwise and never above the LCE, so it answers all of them exactly.
     """
-    sigma, k_p = len(pattern.alphabet), len(pattern.sets)
-    separator = sigma + k_p + len(text.sets)
-    seq = np.concatenate(
-        [substitute(text, sigma + k_p), pattern.ranks, np.asarray([separator], dtype=np.int32)]
-    )
+    sigma = len(pattern.alphabet)
+    # seq is allocated before the substituted strings, so their
+    # temporaries are freed after it, where the index's word array can
+    # reuse the space
+    seq = np.empty(len(text) + len(pattern) + 1, dtype=np.int32)
+    np.concatenate([
+        substitute(text, sigma),
+        substitute(pattern, sigma + 1),
+        np.asarray([sigma + 2], dtype=np.int32),
+    ], out=seq)
     placeholders = np.flatnonzero(pattern.ranks >= sigma)
     longest_run = int(np.diff(placeholders, prepend=-1, append=len(pattern)).max()) - 1
     return LceIndex(seq, cap=longest_run)
@@ -357,9 +364,9 @@ def find_occurrences(
     many on a solid text, where
     b_i = min(m, k_pattern + text placeholders in window i): O(k_pattern * n)
     on a solid text and at most O(k_total * n) on a degenerate one. The
-    index compares words of 8 symbols and builds its suffix structures,
-    still O(n + m), only when a long or escaped extension needs them, and
-    only to the depth of the pattern's longest solid run.
+    index compares words of codes and builds its suffix structures,
+    still O(n + m), only when long extensions need them, and only to the
+    depth of the pattern's longest solid run.
     Memory is the O(n + m) index plus one block's mismatch table of at
     most ``BLOCK_CELLS`` = 2^18 int32 cells (one row when a single
     budget is wider) and that block's O(rows) round temporaries.

@@ -185,16 +185,25 @@ class TestEntryPoint:
         path = [str(Path(degmatch.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         return subprocess.run(
-            [sys.executable, "-m", "degmatch.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
         )
 
+    CLI = ["-m", "degmatch.cli"]
     IUPAC = ["-p", "ACGNTA", "--pattern-syntax", "iupac", "--text-syntax", "iupac"]
+
+    def test_search_does_not_import_the_bench(self):
+        # the scaling bench's own imports would cost every search process
+        result = self.spawn("-c", (
+            "import io, sys; from degmatch.cli import run; "
+            "run(['-p', 'ab', '--text', 'abab'], out=io.StringIO()); "
+            "print('degmatch.bench' in sys.modules)"
+        ))
+        assert result.stdout.split() == ["False"], result.stderr
 
     def test_fasta_json_lines_diagnostics(self, tmp_path):
         f = tmp_path / "t.fa"
         f.write_text(">r1 first\nTTACGATAGG\nACGCTAC\n>r2\nTTACGATAGNNNRCGCTAC\n")
-        result = self.spawn(*self.IUPAC, "--text-file", str(f),
+        result = self.spawn(*self.CLI, *self.IUPAC, "--text-file", str(f),
                             "--format", "json-lines", "--diagnostics")
         assert result.returncode == 0, result.stderr
         objs = [json.loads(line) for line in result.stdout.splitlines()]
@@ -209,7 +218,7 @@ class TestEntryPoint:
     def test_both_text_sources(self, tmp_path):
         f = tmp_path / "t.txt"
         f.write_text("ACGTACGT\n")
-        result = self.spawn(*self.IUPAC, "--text", "ACGT", "--text-file", str(f))
+        result = self.spawn(*self.CLI, *self.IUPAC, "--text", "ACGT", "--text-file", str(f))
         assert result.returncode == 2
         assert result.stdout == ""
         assert "--text and --text-file are mutually exclusive" in result.stderr

@@ -59,7 +59,7 @@ class TestBuild:
     def test_example_sequence_builds(self):
         idx = LceIndex(EXAMPLE_SEQ)
         assert idx.length == 21
-        order, _ = _suffix_array(idx.seq)
+        order, _ = _suffix_array(idx._words, idx._shift)
         assert sorted(order.tolist()) == list(range(21))
 
     def test_empty_sequence(self):
@@ -104,14 +104,16 @@ NAIVE_SORT_CASES = {
 @pytest.mark.parametrize("seq", NAIVE_SORT_CASES.values(), ids=NAIVE_SORT_CASES.keys())
 def test_arrays_match_naive_suffix_sort(seq):
     order, naive_rank, lcp = naive_index(seq)
-    # seeded by the ranks, and by the words: every rank is below the
-    # escape code, so the words hold exact codes
-    for words in (None, LceIndex(seq)._words):
-        suffix_order, levels = _suffix_array(np.asarray(seq, dtype=np.int32), None, words)
+    # ranks offset by 0, 256 and 65,536 take codes of 1, 2 and 4 bytes,
+    # and keep the suffix order
+    for offset, shift in ((0, 3), (256, 4), (65_536, 5)):
+        idx = LceIndex([offset + r for r in seq])
+        assert idx._shift == shift
+        suffix_order, levels = _suffix_array(idx._words, idx._shift)
         rank = levels[-1]  # uncapped, the last round's names are all distinct
         assert suffix_order.tolist() == order
         assert rank.tolist() == naive_rank
-        assert _lcp_array(suffix_order, levels, words).tolist() == lcp
+        assert _lcp_array(suffix_order, levels, idx._words, idx._shift).tolist() == lcp
 
 
 class TestQueries:
@@ -187,14 +189,14 @@ class TestOracleEquivalence:
                 assert seq[i + q] != seq[j + q]
 
 
-SIGMAS = (1, 4, 70, 254, 255, 256, 300)
+SIGMAS = (1, 4, 70, 254, 255, 256, 300, 65_535, 65_536)
 
 
 @st.composite
 def periodic_sequences(draw):
     """A repeated unit with up to three changed symbols, then the separator
-    sigma. Repeats give extensions that cross word boundaries; with sigma
-    of 255 or more, distinct ranks share the escape code 0xFF."""
+    sigma. Repeats give extensions that cross word boundaries; sigma of
+    256 or more takes 2-byte codes, and 65,536 takes 4-byte codes."""
     sigma = draw(st.sampled_from(SIGMAS))
     favoured = sorted({0, sigma // 2, sigma - 1, max(0, sigma - 45)})
     symbol = st.sampled_from(favoured) | st.integers(0, sigma - 1)
@@ -260,19 +262,24 @@ class TestWordPath:
         assert len(suffix_sorts) == 1 and idx.suffix_order.size == len(seq)
 
     @pytest.mark.parametrize("seq,i,j,expected", [
-        # 300 and 255 share the escape code but differ
+        # 300 and 255 are distinct codes
         ([7, 300, 8, 9, 7, 255, 8, 9, 400], 0, 4, 1),
-        # an escape on one side only is a plain mismatch
+        # a wide rank on one side only is a plain mismatch
         ([7, 300, 8, 7, 5, 8, 400], 0, 3, 1),
-        # equal ranks behind an equal escape byte extend on
+        # equal wide ranks extend on
         ([1, 300, 2, 3, 1, 300, 2, 4, 500], 0, 4, 3),
+        # 10 equal codes span words of 4
         ([1] + [256] * 9 + [2, 1] + [256] * 9 + [3, 500], 0, 11, 10),
-        # the separator's own code is the escape
+        # the separator 256 alone takes 2-byte codes
         ([255, 255, 256], 0, 1, 1),
+        # 300 and 44 share their low byte
+        ([7, 300, 8, 7, 44, 8, 400], 0, 3, 1),
     ])
     @pytest.mark.parametrize("cap", [None, 2])
     def test_equal_escape_bytes_compare_ranks(self, seq, i, j, expected, cap):
+        # the largest rank here is above 255, so these run on 2-byte codes
         idx = LceIndex(seq, cap)
+        assert idx._shift == 4
         got = idx.lce_many([i, j], [j, i]).tolist()
         if cap is None or expected < cap:
             assert got == [expected, expected]
@@ -281,24 +288,30 @@ class TestWordPath:
 
 
 def test_leading_bytes_every_lowest_set_bit():
-    # the byte holding the lowest set bit, whatever lies above it; 8 for 0
+    # the code of w bytes holding the lowest set bit, whatever lies above
+    # it, for w = 1, 2 and 4; 8 / w for 0
     rng = np.random.default_rng(5)
     above = rng.integers(0, 2**63, size=32, dtype=np.uint64) * np.uint64(2) | np.uint64(1)
-    for t in range(64):
-        x = above << np.uint64(t)
-        assert lce._leading_bytes(x).tolist() == [t >> 3] * x.size
     words = np.array([0, 2**64 - 1, 2**63, 2**56 - 1], dtype=np.uint64)
-    assert lce._leading_bytes(words).tolist() == [8, 0, 7, 0]
+    for shift, per_word in ((3, 8), (4, 4), (5, 2)):
+        for t in range(64):
+            x = above << np.uint64(t)
+            assert lce._leading_codes(x, shift).tolist() == [t >> shift] * x.size
+        assert lce._leading_codes(words, shift).tolist() == [per_word, 0, per_word - 1, 0]
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 8, 64])
 @pytest.mark.parametrize("length,sigma,seed", [(33, 1, 11), (130, 2, 12), (257, 4, 13)])
 def test_capped_index_all_pairs(length, sigma, seed, cap):
-    # ranks of 300 and up all have the escape code, so the capped index
-    # answers every pair of distinct offsets
-    seq = [300 + r for r in random_sequence(random.Random(seed), length, sigma)]
+    # straight from the capped suffix index on every pair of distinct
+    # offsets: through lce_many, words would answer most of them
+    seq = random_sequence(random.Random(seed), length, sigma)
     idx = LceIndex(seq, cap)
     ii, jj = all_pairs(length)
-    got = idx.lce_many(ii, jj)
+    distinct = ii != jj
+    got = idx._index_lce(ii[distinct], jj[distinct])
     assert idx.suffix_order.size == length
+    assert_capped(seq, zip(ii[distinct].tolist(), jj[distinct].tolist()), got.tolist(), cap)
+    # and through lce_many, with the index built
+    got = idx.lce_many(ii, jj)
     assert_capped(seq, zip(ii.tolist(), jj.tolist()), got.tolist(), cap)

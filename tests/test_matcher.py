@@ -133,8 +133,8 @@ class TestSubstitute:
         assert s.non_solid_positions == (1,)
 
     def test_rank_offset(self, abcd):
-        ranks = substitute(parse_bracket("[ab]c[cd]", abcd), first_placeholder_rank=9)
-        assert ranks.tolist() == [9, 2, 10]
+        ranks = substitute(parse_bracket("[ab]c[cd]", abcd), code=9)
+        assert ranks.tolist() == [9, 2, 9]
 
     def test_ranks_immutable(self, golden_pattern):
         with pytest.raises(ValueError):
@@ -192,6 +192,12 @@ class TestKangarooSearch:
         _, table, approx = pipeline(pattern, text)
         assert table.entries[:, 0].tolist() == [3, 3]
         assert approx == (0, 1)
+
+    def test_empty_range_gives_an_empty_table(self, golden_pattern, golden_text):
+        index = prepare(golden_pattern, golden_text)
+        table, approx = kangaroo_search(golden_pattern, golden_text, index, range(3, 3))
+        assert table.entries.shape[0] == table.alignments == 0
+        assert table.query_count == 0 and approx == ()
 
     def test_query_count_exact_for_solid_text(self, golden_pattern, golden_text):
         _, table, _ = pipeline(golden_pattern, golden_text)
@@ -336,18 +342,47 @@ def _block_cases():
 
 @pytest.fixture
 def suffix_sorts(monkeypatch):
-    """One (seeded by words, doubling rounds) pair for every suffix sort
-    an LCE index runs in the test."""
+    """The doubling rounds of every suffix sort an LCE index runs in the
+    test."""
     calls = []
     sort = lce._suffix_array
 
-    def recording_sort(seq, cap, words):
-        order, levels = sort(seq, cap, words)
-        calls.append((words is not None, len(levels)))
+    def recording_sort(*args):
+        order, levels = sort(*args)
+        calls.append(len(levels))
         return order, levels
 
     monkeypatch.setattr(lce, "_suffix_array", recording_sort)
     return calls
+
+
+def _in_phase(run, text_ns):
+    """A period-3 ``ACG`` pattern with an N after every ``run`` symbols, and
+    a 3,000-symbol ``ACG`` text with ``text_ns`` Ns at seeded positions:
+    an in-phase window matches every run of the pattern through to the
+    next N."""
+    raw_pattern = list("ACG" * (4 * run // 3 + 2))[: 4 * run + 3]
+    for p in range(run, len(raw_pattern), run + 1):
+        raw_pattern[p] = "N"
+    raw_text = list("ACG" * 1_000)
+    for p in random.Random(run).sample(range(len(raw_text)), text_ns):
+        raw_text[p] = "N"
+    return "".join(raw_pattern), "".join(raw_text)
+
+
+def _assert_in_phase_report(pattern, text, report):
+    assert len(report.exact_occurrences) >= 3_000 // 3 - len(pattern) // 3
+    assert list(report.exact_occurrences) == naive_match(pattern, text)
+    budgets = window_budgets(pattern, text)
+    # alignment i jumps once per mismatch of its substituted window, up
+    # to its budget, and once more; on a solid text that is b_i + 1
+    seq = prepare(pattern, text).seq
+    n, m = len(text), len(pattern)
+    windows = np.lib.stride_tricks.sliding_window_view(seq[:n], m)
+    distances = np.count_nonzero(windows != seq[n : n + m], axis=1)
+    assert report.lce_queries == int(np.sum(np.minimum(budgets, distances) + 1))
+    if not text.sets:
+        assert report.lce_queries == sum(b + 1 for b in budgets)
 
 
 class TestOnDemandIndex:
@@ -375,7 +410,7 @@ class TestOnDemandIndex:
             report = find_occurrences(pattern, text)
             # the longest solid run is 139, so the words seed 8-prefixes
             # and doubling runs h = 8, 16, ..., 256
-            assert suffix_sorts == [(True, 6)] * searches
+            assert suffix_sorts == [6] * searches
             assert report.exact_occurrences == tuple(range(1, 6_000 - 240 + 2, 3))
             assert list(report.exact_occurrences) == naive_match(pattern, text)
             assert report.lce_queries == sum(b + 1 for b in window_budgets(pattern, text))
@@ -384,33 +419,39 @@ class TestOnDemandIndex:
     @pytest.mark.parametrize("run", [8, 9, 16, 64, 65, 128])
     def test_longest_solid_run_is_answered_exactly(self, suffix_sorts, run, text_ns):
         # the index is capped at the longest solid run R, and doubling stops
-        # at h = R when R is a power of two; an in-phase window matches
-        # every run of the pattern through to the next N
-        raw_pattern = list("ACG" * (4 * run // 3 + 2))[: 4 * run + 3]
-        for p in range(run, len(raw_pattern), run + 1):
-            raw_pattern[p] = "N"
-        raw_text = list("ACG" * 1_000)
-        # 300 text Ns take ranks past 254, which share the escape code
-        for p in random.Random(run).sample(range(len(raw_text)), text_ns):
-            raw_text[p] = "N"
-        pattern, text = parse_iupac("".join(raw_pattern)), parse_iupac("".join(raw_text))
+        # at h = R when R is a power of two
+        raw_pattern, raw_text = _in_phase(run, text_ns)
+        pattern, text = parse_iupac(raw_pattern), parse_iupac(raw_text)
         report = find_occurrences(pattern, text)
-        assert len(report.exact_occurrences) >= 3_000 // 3 - len(raw_pattern) // 3
-        assert list(report.exact_occurrences) == naive_match(pattern, text)
-        budgets = window_budgets(pattern, text)
-        # alignment i jumps once per mismatch of its substituted window, up
-        # to its budget, and once more; on a solid text that is b_i + 1
-        seq = prepare(pattern, text).seq
-        n, m = len(text), len(pattern)
-        windows = np.lib.stride_tricks.sliding_window_view(seq[:n], m)
-        distances = np.count_nonzero(windows != seq[n : n + m], axis=1)
-        assert report.lce_queries == int(np.sum(np.minimum(budgets, distances) + 1))
+        _assert_in_phase_report(pattern, text, report)
+        # every code fits in one byte, 300 text Ns or not; with R = 8 the
+        # first word of every pair reaches the cap, so no index is built.
+        # A solid text spends the word budget on every longer run.
+        assert len(suffix_sorts) <= (run > 8)
         if text_ns == 0:
-            assert report.lce_queries == sum(b + 1 for b in budgets)
-        # a solid text seeds doubling with the words; with R = 8 the first
-        # word of every pair reaches the cap, so no index is built
-        assert all(seeded == (text_ns == 0) for seeded, _ in suffix_sorts)
-        assert len(suffix_sorts) == (run > 8 or text_ns > 0)
+            assert len(suffix_sorts) == (run > 8)
+
+    @pytest.mark.parametrize("text_ns", [0, 300])
+    @pytest.mark.parametrize("run", [8, 9, 16, 64, 65, 128])
+    def test_wide_codes_build_the_capped_index(self, suffix_sorts, run, text_ns):
+        # the windows above over an alphabet of 254 symbols: the separator
+        # code is 256, so the index holds 2-byte codes, 4 per word, and
+        # every run outruns the first word
+        symbols = [chr(0x100 + r) for r in range(254)]
+        a, c, g = symbols[0], symbols[100], symbols[253]
+        spelling = {"A": a, "C": c, "G": g, "N": f"[{a}{c}{g}{symbols[1]}]"}
+        pattern, text = (
+            parse_bracket("".join(spelling[x] for x in raw), Alphabet(symbols))
+            for raw in _in_phase(run, text_ns)
+        )
+        report = find_occurrences(pattern, text)
+        _assert_in_phase_report(pattern, text, report)
+        assert prepare(pattern, text)._shift == 4
+        # the words seed 4-prefixes, and doubling runs up to the first h >= R
+        rounds, h = 1, 4
+        while h < run:
+            rounds, h = rounds + 1, 2 * h
+        assert suffix_sorts == [rounds]
 
 
 class TestBlocks:
