@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, fields
 from .matcher import prepare, search
 from .oracle import RandomInstanceSpec, generate_instance
 
+BASE_SEED = 20260801
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -25,7 +27,6 @@ class GridSpec:
     sigma: int = 4
     reps: int = 5
     m: int = 64
-    base_seed: int = 20260801
 
     def __post_init__(self):
         if self.reps < 5:
@@ -112,7 +113,7 @@ def parse_grid(text: str) -> GridSpec:
 def _time_cell(n: int, k: int, grid: GridSpec) -> BenchCell:
     spec = RandomInstanceSpec(
         n=n, m=grid.m, sigma=grid.sigma, k_pattern=k, k_text=0,
-        max_set_size=2, seed=grid.base_seed + 8191 * n + k,
+        max_set_size=2, seed=BASE_SEED + 8191 * n + k,
     )
     pattern, text = generate_instance(spec)
     bound = (k + 1) * (n - grid.m + 1)

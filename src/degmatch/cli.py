@@ -173,9 +173,8 @@ def run(argv=None, out=None, err=None, stdin=None) -> int:
     if args.text is not None and args.text_file is not None:
         raise ValueError("--text and --text-file are mutually exclusive")
 
-    pattern_raw = (
-        args.pattern if args.pattern is not None else _read(args.pattern_file)
-    ).strip()
+    source = args.pattern if args.pattern is not None else _read(args.pattern_file)
+    pattern_raw = "".join(source.split())  # whitespace is insignificant, as in the text
     records = _load_text_records(args, stdin)
 
     if args.pattern_syntax == "iupac" or args.text_syntax == "iupac":

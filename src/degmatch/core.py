@@ -46,9 +46,8 @@ class EmptyPattern(ValueError):
     pass
 
 
-# Metacharacters of the bracket grammar plus the index separator; none of
-# these may ever be an alphabet member.
-_FORBIDDEN = frozenset("#[],")
+# Metacharacters of the bracket grammar, never alphabet members.
+_FORBIDDEN = frozenset("[],")
 
 
 class Alphabet:

@@ -27,27 +27,12 @@ large L, with a short-span table covering ranges inside one block. A
 batch of pairs takes the block answer in one pass, and the few ranges
 inside one block width take the short table's instead. The LCE of two
 suffixes is then the minimum LCP between their ranks, O(1) per pair.
-
-Without a cap every answer is exact. With one, an answer is exact below
-the cap and at least the cap otherwise, and never above the LCE: in an
-order sorted by cap-prefixes, the capped LCE of two suffixes is the
-smallest capped LCP between them.
 """
 import numpy as np
 
-from .core import OutOfRange
-
-
-class MissingSeparator(ValueError):
-    pass
-
-
-class SeparatorNotUnique(ValueError):
-    pass
-
 
 def _suffix_array(
-    words: np.ndarray, shift: int, cap: int | None = None
+    words: np.ndarray, shift: int, cap: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Suffix order by prefix doubling, and every round's int32 names.
 
@@ -61,7 +46,8 @@ def _suffix_array(
     previous round's order, so the stable sort only has to order the runs
     of equal names. Doubling stops once every name is distinct or once the
     named prefixes are at least ``cap`` long; the order then sorts the
-    suffixes by those prefixes, with ties in no particular order.
+    suffixes by those prefixes, with ties in no particular order. A cap of
+    the length stops nothing early: such prefixes hold the separator.
     """
     length = words.size
     h = 64 >> shift
@@ -77,7 +63,7 @@ def _suffix_array(
         names = np.empty(length, dtype=np.int32)
         names[order] = sorted_names
         levels.append(names)
-        if sorted_names[-1] == length - 1 or (cap is not None and h >= cap):
+        if sorted_names[-1] == length - 1 or h >= cap:
             return order, levels
         # a suffix whose h-prefix holds the unique separator already has a
         # name of its own, so clipping its second key changes no order
@@ -168,22 +154,29 @@ _BLOCK = 1 << _BLOCK_BITS
 class LceIndex:
     """Longest-common-extension index over a rank sequence.
 
-    ``seq`` is a sequence of non-negative integer ranks whose final element
-    is a separator occurring nowhere else; that uniqueness guarantees no
-    suffix is a prefix of another, so every extension stops at a genuine
-    symbol difference. The index keeps the ranks as int32, without a copy
-    when ``seq`` is already a contiguous int32 array, and the 64-bit word
-    of codes that starts at every offset (8 bytes per symbol). A code is
-    its rank in 1, 2 or 4 bytes, the narrowest width that holds the
-    largest rank, so a word holds 8, 4 or 2 codes.
+    It checks none of its three preconditions:
 
-    The suffix order, rank, LCP array and range-minimum tables are empty
-    arrays until a pair first needs them; only that build and the word
-    budget change after construction. The build seeds prefix doubling
-    with the words, so it starts at prefixes one word long. With ``cap``,
-    doubling stops once prefixes are ``cap`` long, and an answer is exact
-    when it is below ``cap`` and at least ``cap`` otherwise; it never
-    exceeds the LCE.
+    - ``seq``, non-negative integer ranks, ends with its only separator, so
+      every extension stops at a symbol difference;
+    - ``cap`` is given. An answer is exact below ``cap``, at least ``cap``
+      otherwise and never above the LCE: in an order sorted by
+      cap-prefixes, the capped LCE of two suffixes is the smallest capped
+      LCP between them. A cap of the length makes every answer exact;
+    - every queried pair is two distinct offsets inside ``seq``.
+
+    ``matcher.prepare`` indexes text + pattern + one separator sigma + 2,
+    which no other symbol takes, capped at the pattern's longest solid run
+    R. The kangaroo loop asks for offset i + f <= n, for alignment
+    i <= n - m and 0 <= f <= m, against pattern offset n + f <= n + m:
+    two distinct offsets, whose LCE ends within R, at a pattern
+    placeholder or at the separator, so every answer is exact.
+
+    The index keeps the ranks as int32, without a copy when ``seq`` is
+    already a contiguous int32 array, and the 64-bit word of codes that
+    starts at every offset (8 bytes per symbol). The suffix order, rank,
+    LCP array and range-minimum tables are empty arrays until a pair first
+    needs them; only that build and the word budget change after
+    construction.
     """
 
     __slots__ = (
@@ -192,15 +185,8 @@ class LceIndex:
         "_words", "_shift", "_word_budget",
     )
 
-    def __init__(self, seq, cap: int | None = None):
-        arr = np.ascontiguousarray(seq, dtype=np.int32)
-        if arr.ndim != 1 or arr.size == 0:
-            raise MissingSeparator("sequence is empty; it must end with the separator")
-        sep = int(arr[-1])
-        if int(np.count_nonzero(arr == sep)) != 1:
-            raise SeparatorNotUnique(f"separator rank {sep} occurs more than once")
-
-        self.seq = arr
+    def __init__(self, seq, cap: int):
+        self.seq = arr = np.ascontiguousarray(seq, dtype=np.int32)
         self.length = int(arr.size)
         self.cap = cap
         top = int(arr.max())
@@ -284,8 +270,8 @@ class LceIndex:
 
     def lce_many(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Longest common prefix of the suffixes at offsets ``i[x]`` and
-        ``j[x]`` (0-based) for every x, O(1) amortized each; raises
-        ``OutOfRange`` when an offset is outside the sequence.
+        ``j[x]`` (0-based), two distinct offsets, for every x, capped at
+        ``cap``; O(1) amortized each.
 
         Each pair first compares one word of codes. A pair that matched
         all of them goes on word by word while the word budget lasts and
@@ -294,19 +280,9 @@ class LceIndex:
         """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        if i.size and not (
-            0 <= int(i.min()) and int(i.max()) < self.length
-            and 0 <= int(j.min()) and int(j.max()) < self.length
-        ):
-            raise OutOfRange("offset outside the indexed sequence")
         out = self._compare(i, j).astype(np.int64)
         pending = np.flatnonzero(out == 64 >> self._shift)
         i, j = i[pending], j[pending]
-        same = i == j
-        if same.any():
-            out[pending[same]] = self.length - i[same]
-            differ = ~same
-            pending, i, j = pending[differ], i[differ], j[differ]
         if pending.size and self.suffix_order.size == 0:
             rest = self._extend_by_words(out, pending, i, j)
             pending, i, j = pending[rest], i[rest], j[rest]
@@ -319,14 +295,13 @@ class LceIndex:
     ) -> np.ndarray:
         """Extends the pairs of distinct offsets ``i``, ``j`` at positions
         ``pending`` of ``out``, whose first words matched in full, word by
-        word while they are below the cap and the word budget lasts, in
-        ``out``. Returns the indices into ``pending`` of the pairs still
+        word while they are below ``self.cap`` and the word budget lasts,
+        in ``out``. Returns the indices into ``pending`` of the pairs still
         open when the budget ran out, which are left for the index."""
-        cap = self.length if self.cap is None else self.cap
         ext = out[pending]
         extending = np.arange(pending.size)
         while extending.size:
-            extending = extending[ext[extending] < cap]
+            extending = extending[ext[extending] < self.cap]
             if extending.size > self._word_budget:
                 break
             self._word_budget -= extending.size

@@ -10,18 +10,18 @@ there intersect, real otherwise. An alignment is an exact occurrence iff
 all of its verdicts are fake.
 
 Stage 2 only asks for the LCE of a text offset and a pattern offset,
-clipped at the pattern end, the kangaroo jumps of Landau and Vishkin.
-Over the positions those read, a text placeholder and a pattern
-placeholder never match each other or any solid symbol, so ``prepare``
-indexes three codes past the base alphabet of sigma symbols: sigma for
-every text placeholder, sigma + 1 for every pattern placeholder and
-sigma + 2 for the separator. The pattern's codes then mismatch the text
-at exactly its placeholders. An occurrence can only mismatch where the
-pattern or its own text window holds a placeholder, so alignment i gets
-the budget b_i = min(m, k_pattern + t_i), where t_i counts the text
-placeholders inside window i. On a solid text every b_i is k_pattern,
-and the recorded mismatches of an approximate alignment are exactly the
-pattern placeholders.
+the kangaroo jumps of Landau and Vishkin. Over the positions those read,
+a text placeholder and a pattern placeholder never match each other or
+any solid symbol, so ``prepare`` indexes three codes past the base
+alphabet of sigma symbols: sigma for every text placeholder, sigma + 1
+for every pattern placeholder and sigma + 2 for the separator, which
+ends every extension by the pattern end. The pattern's codes then
+mismatch the text at exactly its placeholders. An occurrence can only
+mismatch where the pattern or its own text window holds a placeholder,
+so alignment i gets the budget b_i = min(m, k_pattern + t_i), where t_i
+counts the text placeholders inside window i. On a solid text every b_i
+is k_pattern, and the recorded mismatches of an approximate alignment
+are exactly the pattern placeholders.
 
 Three entry points run the stages: ``prepare`` builds the LCE index over
 both strings' codes, ``search`` runs stages 2 and 3 with that index, and
@@ -152,18 +152,20 @@ def kangaroo_search(
 
     ``index`` comes from ``prepare``: it is built over text + pattern +
     separator, with the text's placeholders coded apart from the
-    pattern's, and the pattern is no longer than the text. Alignment i
-    makes at most b_i + 1 jumps and is an approximate occurrence when one
-    of them reaches the sentinel m+1, i.e. the window matched the whole
-    pattern with at most b_i mismatches. ``budgets`` is the array
-    ``window_budgets(pattern, text)`` over all alignments, computed here
-    when not given.
+    pattern's, and the pattern is no longer than the text. A jump from
+    offset f of alignment i needs no clip at the pattern end: the
+    separator at n + m ends its LCE within m - f, as i + m <= n.
+    Alignment i makes at most b_i + 1 jumps and is an approximate
+    occurrence when one of them reaches the sentinel m+1, i.e. the window
+    matched the whole pattern with at most b_i mismatches; columns it
+    never reached keep the sentinel, so that is when its column b_i
+    holds it. ``budgets`` is the array ``window_budgets(pattern, text)``
+    over all alignments, computed here when not given.
     At most sum of (b_i + 1) queries over the range, and at most
     (k_total + 1)(n - m + 1) in total, each O(1) amortized. Returns the
     range's table and its approximate alignments.
     """
-    m = len(pattern)
-    n = len(text)
+    m, n = len(pattern), len(text)
     sentinel = m + 1
     if alignments is None:
         alignments = range(n - m + 1)
@@ -181,30 +183,24 @@ def kangaroo_search(
     start = active + lo
     live_budgets = budgets
     f = np.zeros(count, dtype=np.int64)
-    reached = [np.empty(0, dtype=np.int64)]  # so an empty range concatenates
     queries = 0
     for j in range(k + 1):
         if active.size == 0:
             break
         q = index.lce_many(start + f, n + f)
         queries += int(active.size)
-        np.minimum(q, m - f, out=q)  # never extend past the pattern end
         q += f
         q += 1
         f = q
         entries[j, active] = f
-        at_end = f == sentinel
-        keep = ~at_end
+        keep = f != sentinel
         keep &= live_budgets > j
         if not keep.all():
-            reached.append(active[at_end])
             active, start, live_budgets, f = (
                 active[keep], start[keep], live_budgets[keep], f[keep]
             )
 
-    # every alignment retires by round b_i; these are the ones whose last
-    # jump reached the end
-    approx = np.sort(np.concatenate(reached)) + lo
+    approx = np.flatnonzero(entries[budgets, np.arange(count)] == sentinel) + lo
     table = MismatchTable(entries=entries.T, m=m, budget=k, query_count=queries, first=lo)
     return table, tuple(approx.tolist())
 

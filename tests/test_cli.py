@@ -52,6 +52,21 @@ class TestInputSources:
         assert main(["--pattern-file", str(f), "--text", "dacdabdadcabdac"]) == 0
         assert capsys.readouterr().out.splitlines() == ["2", "5"]
 
+    @pytest.mark.parametrize("wrapped,syntax,text", [
+        ("ACGT\nNNAC\n", ["--pattern-syntax", "iupac", "--text-syntax", "iupac"],
+         "TTACGTGGACAACGTAAACGT"),
+        # broken inside a bracket group
+        ("a[b\nc]da\n[bd]\n", [], "dacdabdadcabdac"),
+    ], ids=["iupac", "bracket"])
+    def test_wrapped_pattern_file(self, tmp_path, capsys, wrapped, syntax, text):
+        f = tmp_path / "p.txt"
+        f.write_text(wrapped)
+        one_line = ["-p", "".join(wrapped.split()), "--text", text, "--format", "tsv"]
+        assert main(one_line + syntax) == 0
+        expected = capsys.readouterr()
+        got = main(["--pattern-file", str(f)] + one_line[2:] + syntax)
+        assert (got, capsys.readouterr()) == (0, expected)
+
     def test_text_file_plain(self, tmp_path, capsys):
         f = tmp_path / "t.txt"
         f.write_text("dacdab\ndadcabdac\n")  # newlines are insignificant

@@ -53,10 +53,15 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet("aba")
 
-    @pytest.mark.parametrize("bad", ["#", "[", "]", ",", " ", "\t"])
+    @pytest.mark.parametrize("bad", ["[", "]", ",", " ", "\t"])
     def test_reserved_characters_rejected(self, bad):
         with pytest.raises(ValueError):
             Alphabet("a" + bad)
+
+    def test_hash_is_an_ordinary_symbol(self):
+        # the index separator is a rank, so no character is kept for it
+        a = Alphabet("a#")
+        assert a.rank("#") == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

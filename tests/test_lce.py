@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import degmatch.lce as lce
-from degmatch import OutOfRange
-from degmatch.lce import (
-    LceIndex,
-    MissingSeparator,
-    SeparatorNotUnique,
-    _lcp_array,
-    _suffix_array,
-)
+from degmatch.lce import LceIndex, _lcp_array, _suffix_array
 
 
 def naive_lce(seq, i, j):
@@ -29,9 +22,16 @@ def random_sequence(rng, length, sigma):
 
 
 def all_pairs(length):
-    """Every offset pair (i, j) of a sequence, as two flat arrays."""
+    """Every pair (i, j) of distinct offsets of a sequence, as two flat
+    arrays."""
     ii, jj = np.meshgrid(np.arange(length), np.arange(length), indexing="ij")
-    return ii.ravel(), jj.ravel()
+    distinct = ii != jj
+    return ii[distinct], jj[distinct]
+
+
+def exact_index(seq):
+    """An index capped at the length of ``seq``, so every answer is exact."""
+    return LceIndex(seq, cap=len(seq))
 
 
 def encode(text):
@@ -49,30 +49,18 @@ EXAMPLE_SEQ = encode("dacdabdadcabdac" + "a!da?#".replace("!", "e").replace("?",
 
 class TestBuild:
     def test_all_distinct_suffixes(self):
-        idx = LceIndex(encode("ab#"))
+        idx = exact_index(encode("ab#"))
         assert idx.lce_many([0], [1]).tolist() == [0]
 
     def test_repeated_prefix(self):
-        idx = LceIndex(encode("aa#"))
+        idx = exact_index(encode("aa#"))
         assert idx.lce_many([0], [1]).tolist() == [1]
 
     def test_example_sequence_builds(self):
-        idx = LceIndex(EXAMPLE_SEQ)
+        idx = exact_index(EXAMPLE_SEQ)
         assert idx.length == 21
-        order, _ = _suffix_array(idx._words, idx._shift)
+        order, _ = _suffix_array(idx._words, idx._shift, cap=len(EXAMPLE_SEQ))
         assert sorted(order.tolist()) == list(range(21))
-
-    def test_empty_sequence(self):
-        with pytest.raises(MissingSeparator):
-            LceIndex([])
-
-    def test_separator_must_be_unique(self):
-        with pytest.raises(SeparatorNotUnique):
-            LceIndex([2, 0, 2])
-
-    def test_single_symbol(self):
-        idx = LceIndex([0])
-        assert idx.lce_many([0], [0]).tolist() == [1]
 
 
 def naive_index(seq):
@@ -107,10 +95,10 @@ def test_arrays_match_naive_suffix_sort(seq):
     # ranks offset by 0, 256 and 65,536 take codes of 1, 2 and 4 bytes,
     # and keep the suffix order
     for offset, shift in ((0, 3), (256, 4), (65_536, 5)):
-        idx = LceIndex([offset + r for r in seq])
+        idx = exact_index([offset + r for r in seq])
         assert idx._shift == shift
-        suffix_order, levels = _suffix_array(idx._words, idx._shift)
-        rank = levels[-1]  # uncapped, the last round's names are all distinct
+        suffix_order, levels = _suffix_array(idx._words, idx._shift, cap=len(seq))
+        rank = levels[-1]  # capped at the length, the last round's names are all distinct
         assert suffix_order.tolist() == order
         assert rank.tolist() == naive_rank
         assert _lcp_array(suffix_order, levels, idx._words, idx._shift).tolist() == lcp
@@ -118,27 +106,13 @@ def test_arrays_match_naive_suffix_sort(seq):
 
 class TestQueries:
     def test_basic_extension(self):
-        idx = LceIndex(encode("abab#"))
+        idx = exact_index(encode("abab#"))
         assert idx.lce_many([0], [2]).tolist() == [2]
-
-    def test_identical_offsets(self):
-        idx = LceIndex(encode("abab#"))
-        offsets = np.arange(5)
-        assert idx.lce_many(offsets, offsets).tolist() == [5, 4, 3, 2, 1]
 
     def test_example_placeholder_boundary(self):
         # text suffix "adc..." against pattern suffix "a<placeholder>..."
-        idx = LceIndex(EXAMPLE_SEQ)
+        idx = exact_index(EXAMPLE_SEQ)
         assert idx.lce_many([7], [15]).tolist() == [1]
-
-    def test_out_of_range(self):
-        idx = LceIndex(encode("ab#"))
-        with pytest.raises(OutOfRange):
-            idx.lce_many([0], [3])
-        with pytest.raises(OutOfRange):
-            idx.lce_many([-1], [0])
-        with pytest.raises(OutOfRange):
-            idx.lce_many(np.asarray([0, 5]), np.asarray([0, 0]))
 
 
 class TestOracleEquivalence:
@@ -148,7 +122,7 @@ class TestOracleEquivalence:
     ])
     def test_all_pairs_small(self, length, sigma, seed):
         seq = random_sequence(random.Random(seed), length, sigma)
-        idx = LceIndex(seq)
+        idx = exact_index(seq)
         ii, jj = all_pairs(length)
         got = idx.lce_many(ii, jj).tolist()
         for i, j, q in zip(ii.tolist(), jj.tolist(), got):
@@ -156,10 +130,10 @@ class TestOracleEquivalence:
 
     def test_all_pairs_512(self):
         seq = random_sequence(random.Random(99), 512, 2)
-        idx = LceIndex(seq)
+        idx = exact_index(seq)
         got = idx.lce_many(*all_pairs(512))
         expected = np.asarray(
-            [naive_lce(seq, i, j) for i in range(512) for j in range(512)]
+            [naive_lce(seq, i, j) for i in range(512) for j in range(512) if i != j]
         )
         assert np.array_equal(got, expected)
 
@@ -168,8 +142,8 @@ class TestOracleEquivalence:
     def test_sampled_pairs(self, length, sigma, seed):
         rng = random.Random(seed)
         seq = random_sequence(rng, length, sigma)
-        idx = LceIndex(seq)
-        pairs = [(rng.randrange(length), rng.randrange(length)) for _ in range(32)]
+        idx = exact_index(seq)
+        pairs = [tuple(rng.sample(range(length), 2)) for _ in range(32)]
         ii, jj = np.asarray(pairs).T
         got = idx.lce_many(ii, jj).tolist()
         assert got == [naive_lce(seq, i, j) for i, j in pairs]
@@ -179,13 +153,13 @@ class TestOracleEquivalence:
     def test_symmetry_and_separator_stop(self, length, sigma, seed):
         rng = random.Random(seed)
         seq = random_sequence(rng, length, sigma)
-        idx = LceIndex(seq)
-        pairs = [(rng.randrange(length), rng.randrange(length)) for _ in range(32)]
+        idx = exact_index(seq)
+        pairs = [tuple(rng.sample(range(length), 2)) for _ in range(32)]
         ii, jj = np.asarray(pairs).T
         got = idx.lce_many(ii, jj).tolist()
         assert got == idx.lce_many(jj, ii).tolist()
         for (i, j), q in zip(pairs, got):
-            if i != j and i + q < length and j + q < length:
+            if i + q < length and j + q < length:
                 assert seq[i + q] != seq[j + q]
 
 
@@ -201,7 +175,7 @@ def periodic_sequences(draw):
     favoured = sorted({0, sigma // 2, sigma - 1, max(0, sigma - 45)})
     symbol = st.sampled_from(favoured) | st.integers(0, sigma - 1)
     unit = draw(st.lists(symbol, min_size=1, max_size=12))
-    length = draw(st.integers(1, 150))
+    length = draw(st.integers(2, 150))  # one symbol has no two offsets
     seq = (unit * length)[: length - 1]
     for _ in range(draw(st.integers(0, 3))):
         if seq:
@@ -210,10 +184,10 @@ def periodic_sequences(draw):
 
 
 def assert_capped(seq, pairs, got, cap):
-    """Exact below ``cap`` and at least ``cap`` otherwise; exact without one."""
+    """Exact below ``cap`` and at least ``cap`` otherwise."""
     for (i, j), q in zip(pairs, got):
         expected = naive_lce(seq, i, j)
-        if cap is None or expected < cap:
+        if expected < cap:
             assert q == expected, (i, j, cap)
         else:
             assert q >= cap, (i, j, cap)
@@ -233,10 +207,10 @@ class TestWordPath:
     def test_matches_naive_lce(self, seq, cap, seed):
         rng = random.Random(seed)
         length = len(seq)
-        pairs = [(rng.randrange(length), rng.randrange(length)) for _ in range(40)]
-        pairs += [(length - 1, rng.randrange(length)), (rng.randrange(length), length - 2),
-                  (rng.randrange(length),) * 2]
-        pairs = [(i, j) for i, j in pairs if j >= 0]
+        cap = length if cap is None else cap  # None: capped at the length, so exact
+        pairs = [tuple(rng.sample(range(length), 2)) for _ in range(40)]
+        pairs += [(length - 1, rng.randrange(length)), (rng.randrange(length), length - 2)]
+        pairs = [(i, j) for i, j in pairs if i != j]
         idx = LceIndex(seq, cap)
         # two calls: the second may find the index built by the first
         for part in (pairs[::2], pairs[1::2]):
@@ -245,7 +219,7 @@ class TestWordPath:
 
     def test_short_extensions_build_no_index(self, suffix_sorts):
         seq = random_sequence(random.Random(4), 2_000, 4)
-        idx = LceIndex(seq)
+        idx = exact_index(seq)
         ii = np.arange(1_999)
         got = idx.lce_many(ii, ii + 1).tolist()
         assert got == [naive_lce(seq, i, i + 1) for i in range(1_999)]
@@ -254,6 +228,7 @@ class TestWordPath:
     @pytest.mark.parametrize("cap", [None, 64])
     def test_spent_word_budget_builds_the_index_once(self, suffix_sorts, cap):
         seq = [0, 1, 2] * 200 + [3]
+        cap = len(seq) if cap is None else cap  # None: capped at the length, so exact
         idx = LceIndex(seq, cap)
         ii = np.arange(597)
         for _ in range(2):
@@ -278,10 +253,11 @@ class TestWordPath:
     @pytest.mark.parametrize("cap", [None, 2])
     def test_equal_escape_bytes_compare_ranks(self, seq, i, j, expected, cap):
         # the largest rank here is above 255, so these run on 2-byte codes
+        cap = len(seq) if cap is None else cap  # None: capped at the length, so exact
         idx = LceIndex(seq, cap)
         assert idx._shift == 4
         got = idx.lce_many([i, j], [j, i]).tolist()
-        if cap is None or expected < cap:
+        if expected < cap:
             assert got == [expected, expected]
         else:
             assert min(got) >= cap
@@ -308,10 +284,9 @@ def test_capped_index_all_pairs(length, sigma, seed, cap):
     seq = random_sequence(random.Random(seed), length, sigma)
     idx = LceIndex(seq, cap)
     ii, jj = all_pairs(length)
-    distinct = ii != jj
-    got = idx._index_lce(ii[distinct], jj[distinct])
+    got = idx._index_lce(ii, jj)
     assert idx.suffix_order.size == length
-    assert_capped(seq, zip(ii[distinct].tolist(), jj[distinct].tolist()), got.tolist(), cap)
+    assert_capped(seq, zip(ii.tolist(), jj.tolist()), got.tolist(), cap)
     # and through lce_many, with the index built
     got = idx.lce_many(ii, jj)
     assert_capped(seq, zip(ii.tolist(), jj.tolist()), got.tolist(), cap)

@@ -385,6 +385,54 @@ def _assert_in_phase_report(pattern, text, report):
         assert report.lce_queries == sum(b + 1 for b in budgets)
 
 
+def _naive_lce_many(seq, i, j):
+    """LCE of every pair (i[x], j[x]) of ``seq``, one symbol at a time."""
+    q = np.zeros(i.size, dtype=np.int64)
+    going = np.ones(i.size, dtype=bool)
+    while going.any():
+        a, b = i + q, j + q
+        going &= np.maximum(a, b) < seq.size
+        going[going] = seq[a[going]] == seq[b[going]]
+        q += going
+    return q
+
+
+def test_every_lce_query_meets_the_index_contract(monkeypatch):
+    # LceIndex checks none of its preconditions; this test holds every
+    # pair a search asks for to them, and every answer to the naive LCE
+    calls = []
+    lce_many = lce.LceIndex.lce_many
+
+    def recording_lce_many(index, i, j):
+        got = lce_many(index, i, j)
+        calls.append((index.seq, np.array(i), np.array(j), got.copy()))
+        return got
+
+    monkeypatch.setattr(lce.LceIndex, "lce_many", recording_lce_many)
+    cases = list(_block_cases())
+    cases += [
+        tuple(parse_iupac(raw) for raw in _in_phase(run, text_ns))
+        for run in (9, 65) for text_ns in (0, 300)
+    ]
+    cases.append((parse_iupac("ACNTNA"), parse_iupac("ACGTTA")))  # m = n
+    for pattern, text in cases:
+        calls.clear()
+        find_occurrences(pattern, text)
+        n, m = len(text), len(pattern)
+        seq = prepare(pattern, text).seq
+        separator = len(pattern.alphabet) + 2
+        assert calls
+        for indexed, i, j, got in calls:
+            assert np.array_equal(indexed, seq)
+            assert seq[-1] == separator and np.count_nonzero(seq == separator) == 1
+            # a text offset against a pattern offset, or, after the last
+            # alignment's last symbol, offset n against the separator
+            assert np.all((0 <= i) & (i <= n) & (n <= j) & (j <= n + m))
+            assert np.all(j[i == n] == n + m)
+            assert np.array_equal(got, _naive_lce_many(seq, i, j))
+            assert np.all(got <= n + m - j)
+
+
 class TestOnDemandIndex:
     """The LCE index sorts suffixes only when a search's extensions outrun
     its word budget; the report is the same either way."""
