@@ -76,7 +76,9 @@ def _parse_record(rid, chunks, parse) -> DegenerateString:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # read as a symbol or hide a FASTA header's '>'
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

@@ -120,7 +120,10 @@ def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     masks it out."""
     width = hi - lo + 1
     np.maximum(width, 1, out=width)
-    row = np.frexp(width)[1] - 1
+    # row = floor(log2(width)): the exponent field of the width as a
+    # float, which holds it exactly, is that plus the bias 1023
+    row = width.astype(np.float64).view(np.int64) >> 52
+    row -= 1023
     # offsets into the flat table: a take per span runs faster than
     # indexing rows and columns
     first = row * table.shape[1]
@@ -138,11 +141,13 @@ def _leading_codes(x: np.ndarray, shift: int) -> np.ndarray:
     holds before its first nonzero one."""
     low = np.negative(x)  # x & -x keeps the lowest set bit, 2^t
     low &= x
-    # a power of two converts to float exactly, so frexp gives t + 1
-    # (64 for 2^63 read as int64), and 0 when x is 0
-    count = np.frexp(low.view(np.int64))[1]
-    count -= 1
-    count &= 127  # x == 0: -1 becomes 127, which the minimum makes 64 >> shift
+    # a power of two converts to float exactly, so its exponent field is
+    # t + 1023. 2^63 read as int64 is -2^63, whose sign bit the shift
+    # carries down, which leaves t modulo 2^11. Field 0 means x = 0, and
+    # 0 - 1023 becomes 1025, which the minimum makes 64 >> shift.
+    count = low.view(np.int64).astype(np.float64).view(np.int64) >> 52
+    count -= 1023
+    count &= 2047
     count >>= shift
     return np.minimum(count, 64 >> shift, out=count)
 
@@ -280,7 +285,7 @@ class LceIndex:
         """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        out = self._compare(i, j).astype(np.int64)
+        out = self._compare(i, j)
         pending = np.flatnonzero(out == 64 >> self._shift)
         i, j = i[pending], j[pending]
         if pending.size and self.suffix_order.size == 0:

@@ -38,9 +38,10 @@ on random text usually does not. ``search`` runs stages 2 and 3 on one
 block of consecutive alignments at a time, so its mismatch table holds
 at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
 single alignment's budget is wider than that; the block's round
-temporaries are O(block rows). The per-window budgets (one int32 per
-alignment, a zero-stride view that allocates nothing on a solid text) and
-the membership rows are built once per search.
+temporaries, the block's contiguous copy of its budgets among them, are
+O(block rows). The per-window budgets (one int32 per alignment, a
+zero-stride view that allocates nothing on a solid text) and the
+membership rows are built once per search.
 """
 
 from dataclasses import dataclass
@@ -172,12 +173,18 @@ def kangaroo_search(
     if budgets is None:
         budgets = window_budgets(pattern, text)
     lo, count = alignments.start, len(alignments)
-    budgets = budgets[lo : lo + count]
+    # a contiguous copy: comparing against the zero-stride view of a
+    # solid text's budgets costs several times more per round
+    budgets = np.array(budgets[lo : lo + count], dtype=np.int32)
     k = int(budgets.max(initial=0))  # an empty range gives a 0-row table
 
-    # round j writes row j, so each round's scatter stays within one row.
-    # The live alignments' rows, text offsets, budgets and last mismatch
-    # f are kept packed, and repacked only in a round that retires some.
+    # round j writes row j: whole, as one slice, while every alignment of
+    # the block is live, since a scatter through ``active`` costs over ten
+    # times more, and through ``active`` after the first retirement. On a
+    # solid text no alignment retires before the last round, as each
+    # mismatches at all k_pattern pattern placeholders. The live
+    # alignments' rows, text offsets, budgets and last mismatch f are kept
+    # packed, and repacked only in a round that retires some.
     entries = np.full((k + 1, count), sentinel, dtype=np.int32)
     active = np.arange(count, dtype=np.int64)
     start = active + lo
@@ -192,7 +199,10 @@ def kangaroo_search(
         q += f
         q += 1
         f = q
-        entries[j, active] = f
+        if active.size == count:
+            entries[j] = f
+        else:
+            entries[j, active] = f
         keep = f != sentinel
         keep &= live_budgets > j
         if not keep.all():
@@ -200,7 +210,8 @@ def kangaroo_search(
                 active[keep], start[keep], live_budgets[keep], f[keep]
             )
 
-    approx = np.flatnonzero(entries[budgets, np.arange(count)] == sentinel) + lo
+    cells = budgets * count + np.arange(count)  # cell (b_i, i) of the flat table
+    approx = np.flatnonzero(entries.take(cells) == sentinel) + lo
     table = MismatchTable(entries=entries.T, m=m, budget=k, query_count=queries, first=lo)
     return table, tuple(approx.tolist())
 

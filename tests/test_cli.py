@@ -119,6 +119,20 @@ class TestFasta:
         err = capsys.readouterr().err
         assert "record 'r1', line 4: unknown IUPAC code 'X'" in err
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # a file saved with a UTF-8 byte-order mark reads as the same file
+        # without one: the mark is neither a symbol nor hides a header's '>'
+        args = ["--pattern-syntax", "iupac", "--text-syntax", "iupac"]
+        results = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            pattern, text = tmp_path / "p.txt", tmp_path / "t.fa"
+            pattern.write_bytes(bom + b"ACNT\n")
+            text.write_bytes(bom + b">r1\nACGTACGT\n")
+            code = main(["--pattern-file", str(pattern), "--text-file", str(text)] + args)
+            results.append((code, capsys.readouterr().out))
+        assert results[0] == (0, "r1:1\nr1:5\n")
+        assert results[1] == results[0]
+
     def test_multi_record_matching_preserves_order(self, tmp_path, capsys):
         f = tmp_path / "t.fa"
         f.write_text(">seq2\nAAAA\n>seq1\nDACDABDADCABDAC\n")

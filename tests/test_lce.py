@@ -276,6 +276,24 @@ def test_leading_bytes_every_lowest_set_bit():
         assert lce._leading_codes(words, shift).tolist() == [per_word, 0, per_word - 1, 0]
 
 
+def test_range_min_every_span():
+    # every (lo, hi) with lo <= hi at every length up to 300, so every
+    # power-of-two width and every width just below one is read
+    rng = np.random.default_rng(300)
+    for length in range(1, 301):
+        values = rng.integers(-(2**31), 2**31, size=length, dtype=np.int32)
+        table = lce._sparse_table(values, length.bit_length())
+        spans = np.zeros((length, length), dtype=np.int32)
+        for a in range(length):
+            spans[a, a:] = np.minimum.accumulate(values[a:])
+        lo, hi = np.triu_indices(length)
+        assert np.array_equal(lce._range_min(table, lo, hi), spans[lo, hi])
+        # hi < lo reads some value of the table in bounds
+        if length > 1:
+            lo, hi = np.tril_indices(length, -1)
+            assert np.isin(lce._range_min(table, lo, hi), values).all()
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3, 8, 64])
 @pytest.mark.parametrize("length,sigma,seed", [(33, 1, 11), (130, 2, 12), (257, 4, 13)])
 def test_capped_index_all_pairs(length, sigma, seed, cap):

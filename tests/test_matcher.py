@@ -529,6 +529,59 @@ class TestBlocks:
         assert cells == 1 or any(len(b) > 1 and b[-1] < b[0] for b in blocks)
 
 
+def _naive_tables():
+    """Seeded (pattern, text) pairs for the whole-table check: a solid
+    text, on which every round writes its row whole, a degenerate text
+    with mixed budgets, whose rounds write after retirements, a periodic
+    text and m = n."""
+    rng = random.Random(13)
+    solid = [rng.choice("ACGT") for _ in range(300)]
+    solid[40:47] = solid[200:207] = "ACGTAGA"
+    degenerate = [rng.choice("ACGTACGTACGTRYN") for _ in range(300)]
+    degenerate[100:112] = "N" * 12
+    return {
+        "solid": ("ACNTRGA", "".join(solid)),
+        "degenerate": ("AYGNT", "".join(degenerate)),
+        "periodic": ("ACGNCGA", "ACG" * 60),
+        "m-equals-n": ("ACNTNA", "ACGTTA"),
+    }
+
+
+@pytest.mark.parametrize("cells", [8, 1 << 18])
+@pytest.mark.parametrize("case", ["solid", "degenerate", "periodic", "m-equals-n"])
+def test_every_table_equals_a_naive_kangaroo(monkeypatch, case, cells):
+    # column i holds the first b_i + 1 mismatches of window i against the
+    # coded pattern, then the sentinel once fewer remain, padded with it
+    raw_pattern, raw_text = _naive_tables()[case]
+    pattern, text = parse_iupac(raw_pattern), parse_iupac(raw_text)
+    seq = prepare(pattern, text).seq
+    m, n = len(pattern), len(text)
+    budgets = window_budgets(pattern, text)
+    monkeypatch.setattr(matcher, "BLOCK_CELLS", cells)
+    tables = []
+
+    def recording_search(*args, **kwargs):
+        tables.append(kangaroo_search(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(matcher, "kangaroo_search", recording_search)
+    find_occurrences(pattern, text)
+    assert sum(table.alignments for table, _ in tables) == n - m + 1
+    for table, approx in tables:
+        columns, queries, approximate = [], 0, []
+        for i in range(table.first, table.first + table.alignments):
+            b = budgets[i]
+            mismatches = [e for e in range(1, m + 1) if seq[i + e - 1] != seq[n + e - 1]]
+            column = mismatches[: b + 1] + [m + 1] * (table.budget + 1)
+            columns.append(column[: table.budget + 1])
+            queries += min(len(mismatches), b) + 1
+            if len(mismatches) <= b:
+                approximate.append(i)
+        assert table.entries.tolist() == columns
+        assert approx == tuple(approximate)
+        assert table.query_count == queries
+
+
 class TestFilter:
     def test_golden_verdicts(self, golden_pattern, golden_text):
         _, table, approx = pipeline(golden_pattern, golden_text)
