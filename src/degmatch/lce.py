@@ -122,7 +122,8 @@ def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     np.maximum(width, 1, out=width)
     # row = floor(log2(width)): the exponent field of the width as a
     # float, which holds it exactly, is that plus the bias 1023
-    row = width.astype(np.float64).view(np.int64) >> 52
+    row = width.astype(np.float64).view(np.int64)
+    row >>= 52
     row -= 1023
     # offsets into the flat table: a take per span runs faster than
     # indexing rows and columns
@@ -139,13 +140,14 @@ def _leading_codes(x: np.ndarray, shift: int) -> np.ndarray:
     """Number of zero low-order codes of 2^``shift`` bits in each uint64,
     64 >> ``shift`` for zero: the codes a little-endian word of XORed codes
     holds before its first nonzero one."""
-    low = np.negative(x)  # x & -x keeps the lowest set bit, 2^t
-    low &= x
+    count = np.negative(x)  # x & -x keeps the lowest set bit, 2^t
+    count &= x
     # a power of two converts to float exactly, so its exponent field is
     # t + 1023. 2^63 read as int64 is -2^63, whose sign bit the shift
     # carries down, which leaves t modulo 2^11. Field 0 means x = 0, and
     # 0 - 1023 becomes 1025, which the minimum makes 64 >> shift.
-    count = low.view(np.int64).astype(np.float64).view(np.int64) >> 52
+    count = count.view(np.int64).astype(np.float64).view(np.int64)
+    count >>= 52
     count -= 1023
     count &= 2047
     count >>= shift

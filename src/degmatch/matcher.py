@@ -38,8 +38,8 @@ on random text usually does not. ``search`` runs stages 2 and 3 on one
 block of consecutive alignments at a time, so its mismatch table holds
 at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
 single alignment's budget is wider than that; the block's round
-temporaries, the block's contiguous copy of its budgets among them, are
-O(block rows). The per-window budgets (one int32 per alignment, a
+temporaries, a contiguous copy of its budgets on a solid text among
+them, are O(block rows). The per-window budgets (one int32 per alignment, a
 zero-stride view that allocates nothing on a solid text) and the
 membership rows are built once per search.
 """
@@ -173,9 +173,9 @@ def kangaroo_search(
     if budgets is None:
         budgets = window_budgets(pattern, text)
     lo, count = alignments.start, len(alignments)
-    # a contiguous copy: comparing against the zero-stride view of a
-    # solid text's budgets costs several times more per round
-    budgets = np.array(budgets[lo : lo + count], dtype=np.int32)
+    # contiguous, a copy on a solid text: comparing against the
+    # zero-stride view costs several times more per round
+    budgets = np.ascontiguousarray(budgets[lo : lo + count])
     k = int(budgets.max(initial=0))  # an empty range gives a 0-row table
 
     # round j writes row j: whole, as one slice, while every alignment of
