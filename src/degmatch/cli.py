@@ -76,8 +76,7 @@ def _parse_record(rid, chunks, parse) -> DegenerateString:
 
 
 def _read(path: str) -> str:
-    # utf-8-sig drops a leading byte-order mark, which would otherwise
-    # read as a symbol or hide a FASTA header's '>'
+    # utf-8-sig drops a leading byte-order mark, else read as a symbol
     with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 

@@ -39,9 +39,9 @@ block of consecutive alignments at a time, so its mismatch table holds
 at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
 single alignment's budget is wider than that; the block's round
 temporaries, a contiguous copy of its budgets on a solid text among
-them, are O(block rows). The per-window budgets (one int32 per alignment, a
-zero-stride view that allocates nothing on a solid text) and the
-membership rows are built once per search.
+them, are O(block rows). The per-window budgets (one int32 per
+alignment, a zero-stride view that allocates nothing on a solid text)
+and the membership rows are built once per search.
 """
 
 from dataclasses import dataclass
@@ -178,13 +178,13 @@ def kangaroo_search(
     budgets = np.ascontiguousarray(budgets[lo : lo + count])
     k = int(budgets.max(initial=0))  # an empty range gives a 0-row table
 
-    # round j writes row j: whole, as one slice, while every alignment of
-    # the block is live, since a scatter through ``active`` costs over ten
-    # times more, and through ``active`` after the first retirement. On a
-    # solid text no alignment retires before the last round, as each
-    # mismatches at all k_pattern pattern placeholders. The live
-    # alignments' rows, text offsets, budgets and last mismatch f are kept
-    # packed, and repacked only in a round that retires some.
+    # round j writes row j. While no alignment of the block has retired
+    # it writes the row whole, as one slice, which costs a tenth of a
+    # scatter; after that it scatters through ``active``. On a solid text
+    # no alignment retires before the last round, as each mismatches at
+    # all k_pattern pattern placeholders. The live alignments' rows, text
+    # offsets, budgets and last mismatch f are kept packed, and repacked
+    # only in a round that retires some.
     entries = np.full((k + 1, count), sentinel, dtype=np.int32)
     active = np.arange(count, dtype=np.int64)
     start = active + lo
