@@ -17,16 +17,21 @@ Karp-Miller-Rosenberg names of Manber and Myers: equal names mean equal
 prefixes. The first round sorts the words themselves, read in code
 order, and names prefixes one word long; each later round doubles h.
 Doubling stops once the names are all distinct, or once the prefixes
-reach ``cap``. The last round orders the suffixes, and the
-adjacent-suffix LCP array comes from the same rounds by binary lifting,
-one vectorized pass per round, finished by one word comparison. A
-block-decomposed sparse table answers range-minimum queries over it:
+reach ``cap``. The last round orders the suffixes, and its names split
+that order into groups of suffixes with one shared h-prefix; on
+repetitive text there are far fewer groups than suffixes. A suffix's
+group id is its last-round name. The LCP of each pair of adjacent
+groups comes from the same rounds by binary lifting, one vectorized
+pass per round, finished by one word comparison. A block-decomposed
+sparse table answers range-minimum queries over these boundary LCPs:
 per-block prefix/suffix minima plus a sparse table over block minima
 keep the hot query structures small enough to stay cache-resident at
 large L, with a short-span table covering ranges inside one block. A
 batch of pairs takes the block answer in one pass, and the few ranges
-inside one block width take the short table's instead. The LCE of two
-suffixes is then the minimum LCP between their ranks, O(1) per pair.
+inside one block width take the short table's instead. Two suffixes in
+one group share at least ``cap`` symbols; the LCE of two suffixes in
+different groups is the minimum boundary LCP between their groups.
+Either way a pair costs O(1).
 """
 import numpy as np
 
@@ -79,21 +84,28 @@ def _suffix_array(
 def _lcp_array(
     order: np.ndarray, levels: list[np.ndarray], words: np.ndarray, shift: int
 ) -> np.ndarray:
-    """lcp[r] = LCP of the suffixes ranked r-1 and r, by binary lifting.
+    """lcp[g] = LCP of the last suffix of name group g - 1 and the first
+    suffix of group g, by binary lifting; lcp[0] = 0.
 
-    ``levels``, ``words`` and ``shift`` are those of ``_suffix_array``.
-    From the highest round down, a pair whose prefixes at its current
-    extension share a name extends by the round's prefix length, w * 2^d
-    for w = 64 >> ``shift`` codes per word. The lowest round names
-    w-prefixes, so the lift stops less than w short, and one comparison of
-    the words there adds the leading equal codes. Rounds up to w * 2^D give
-    a result exact below w * 2^(D+1) and no larger than the LCP otherwise.
-    Each round is dropped from ``levels`` once it is used. A common prefix
-    never reaches the unique separator, so no offset runs past the end.
+    ``order``, ``levels``, ``words`` and ``shift`` are those of
+    ``_suffix_array``. A group is a run of equal last-round names in
+    ``order``, so group g holds the suffixes named g. Two groups differ
+    in their h-prefixes, the last round's, so a boundary LCP is below h.
+    From the round below the last down, a pair whose prefixes at its
+    current extension share a name extends by the round's prefix length,
+    w * 2^d for w = 64 >> ``shift`` codes per word. The lowest round names
+    w-prefixes, so the lift stops less than w short, and one comparison
+    of the words there adds the leading equal codes; every entry is
+    exact. Each round is dropped from ``levels`` once it is used. A common
+    prefix never reaches the unique separator, so no offset runs past the
+    end.
     """
-    lcp = np.zeros(order.size, dtype=np.int32)
+    sorted_names = levels.pop()[order]
+    heads = np.flatnonzero(sorted_names[1:] != sorted_names[:-1])
+    del sorted_names
+    left, right = order[heads], order[heads + 1]
+    lcp = np.zeros(heads.size + 1, dtype=np.int32)
     ext = lcp[1:]
-    left, right = order[:-1], order[1:]
     while levels:
         step = np.int32((64 >> shift) << (len(levels) - 1))
         names = levels.pop()
@@ -180,10 +192,16 @@ class LceIndex:
 
     The index keeps the ranks as int32, without a copy when ``seq`` is
     already a contiguous int32 array, and the 64-bit word of codes that
-    starts at every offset (8 bytes per symbol). The suffix order, rank,
-    LCP array and range-minimum tables are empty arrays until a pair first
-    needs them; only that build and the word budget change after
-    construction.
+    starts at every offset (8 bytes per symbol). The suffix index stays
+    empty until a pair first needs it: ``suffix_order``, the suffixes in
+    the order of their capped prefixes; ``rank``, each suffix's group id,
+    its last-round name; ``lcp``, the LCP at each of the D group
+    boundaries; and the range-minimum tables over ``lcp``. Only that
+    build and the word budget change after construction. The order and
+    the group ids are O(L), and so is each doubling round's names, which
+    the build keeps until the lift has used them; the boundary LCPs and
+    the range-minimum tables are O(D). D = L when the capped prefixes
+    are all distinct, as on random text or at a cap of the length.
     """
 
     __slots__ = (
@@ -213,11 +231,11 @@ class LceIndex:
         self.seq.flags.writeable = False
 
     def _build(self) -> None:
-        """Suffix order, rank, LCP array and range-minimum tables."""
+        """Suffix order, group ids, boundary LCP array and range-minimum
+        tables."""
         order, levels = _suffix_array(self._words, self._shift, self.cap)
+        rank = levels[-1]
         self._build_rmq(_lcp_array(order, levels, self._words, self._shift))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(self.length, dtype=np.int32)
         self.suffix_order, self.rank, self.lcp = order, rank, self._short[0]
         for a in (
             self.suffix_order, self.rank, self.lcp,
@@ -226,7 +244,7 @@ class LceIndex:
             a.flags.writeable = False
 
     def _build_rmq(self, lcp: np.ndarray) -> None:
-        """Block-decomposed range minimum over the LCP array.
+        """Block-decomposed range minimum over the boundary LCP array.
 
         Ranges within one block width come from a short sparse table;
         longer ranges combine a block-suffix minimum, whole-block minima
@@ -246,13 +264,17 @@ class LceIndex:
         self._block_table = _sparse_table(grid.min(axis=1), max(1, int(blocks).bit_length()))
 
     def _index_lce(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """LCE of each pair of distinct offsets from the range minimum of
-        the LCP array between their ranks; builds the index first if needed.
+        """LCE of each pair of distinct offsets from their group ids; builds
+        the index first if needed.
 
-        Every pair takes the block answer in one pass: the suffix minimum
-        of the first block, the prefix minimum of the last, and, where
-        whole blocks lie between, their minimum. Pairs whose range fits
-        in one block width then take the short table's answer instead.
+        A pair in one group shares its last-round prefix, at least ``cap``
+        long, and gets ``cap``. A pair in two groups gets the range minimum
+        of the boundary LCP array over the boundaries between them. Every
+        pair takes the block answer in one pass: the suffix minimum of the
+        first block, the prefix minimum of the last, and, where whole
+        blocks lie between, their minimum. Pairs whose range fits in one
+        block width, one group's pairs among them, then take the short
+        table's answer or ``cap`` instead.
         """
         if self.suffix_order.size == 0:
             self._build()
@@ -261,13 +283,16 @@ class LceIndex:
         lo = np.minimum(ra, rb)
         lo += 1
         hi = np.maximum(ra, rb, out=ra)
-        out = np.minimum(self._suffix_min[lo], self._prefix_min[hi])
+        # a pair in one group has lo = hi + 1, which may be one past the
+        # last boundary: clipped here, it is answered below
+        out = np.minimum(self._suffix_min.take(lo, mode="clip"), self._prefix_min[hi])
         first = (lo >> _BLOCK_BITS) + 1
         last = (hi >> _BLOCK_BITS) - 1
         inner = first <= last
         np.minimum(out, _range_min(self._block_table, first, last), out=out, where=inner)
         short = np.flatnonzero(hi - lo < _BLOCK)
-        out[short] = _range_min(self._short, lo[short], hi[short])
+        lo, hi = lo[short], hi[short]
+        out[short] = np.where(lo <= hi, _range_min(self._short, lo, hi), self.cap)
         return out
 
     def _compare(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -34,7 +34,12 @@ from the text into the pattern.
 
 Memory: the index is O(n + m): the ranks and one 64-bit word per symbol,
 plus the suffix structures when a search builds them, which a search
-on random text usually does not. ``search`` runs stages 2 and 3 on one
+on random text usually does not. Those are the suffix order and each
+suffix's group id, O(n + m), and the boundary LCPs and range-minimum
+tables, O(D) for the D groups of suffixes that share their capped
+prefix, far fewer than n + m on repetitive text; while it builds them
+the index also holds every doubling round's names, O(n + m) each,
+O((n + m) log R) in all. ``search`` runs stages 2 and 3 on one
 block of consecutive alignments at a time, so its mismatch table holds
 at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
 single alignment's budget is wider than that; the block's round
@@ -264,10 +269,9 @@ def filter_occurrences(
     mismatches = table.entries[rows - table.first, : table.budget]
     recorded = mismatches != table.sentinel
     offsets = np.where(recorded, mismatches, 1) - 1  # 0-based pattern offsets
-    shared = (
-        pattern_rows[pattern.ranks[offsets]]
-        & text_rows[text.ranks[rows[:, None] + offsets]]
-    )
+    # take along axis 0 gathers the rows faster than 2-D fancy indexing
+    shared = pattern_rows.take(pattern.ranks.take(offsets), axis=0)
+    shared &= text_rows.take(text.ranks.take(rows[:, None] + offsets), axis=0)
     fake = shared.any(axis=2) | ~recorded
     exact = rows[fake.all(axis=1)] + 1
     verdicts = None

@@ -183,14 +183,12 @@ def periodic_sequences(draw):
     return seq + [sigma]
 
 
-def assert_capped(seq, pairs, got, cap):
-    """Exact below ``cap`` and at least ``cap`` otherwise."""
-    for (i, j), q in zip(pairs, got):
-        expected = naive_lce(seq, i, j)
-        if expected < cap:
-            assert q == expected, (i, j, cap)
-        else:
-            assert q >= cap, (i, j, cap)
+def assert_capped(expected, got, cap):
+    """Exact below ``cap``, and from ``cap`` up to the LCE otherwise."""
+    expected, got = np.asarray(expected), np.asarray(got)
+    below = expected < cap
+    assert np.array_equal(got[below], expected[below])
+    assert np.all((cap <= got[~below]) & (got[~below] <= expected[~below]))
 
 
 @pytest.fixture
@@ -215,7 +213,8 @@ class TestWordPath:
         # two calls: the second may find the index built by the first
         for part in (pairs[::2], pairs[1::2]):
             ii, jj = np.asarray(part).T
-            assert_capped(seq, part, idx.lce_many(ii, jj).tolist(), cap)
+            expected = [naive_lce(seq, i, j) for i, j in part]
+            assert_capped(expected, idx.lce_many(ii, jj), cap)
 
     def test_short_extensions_build_no_index(self, suffix_sorts):
         seq = random_sequence(random.Random(4), 2_000, 4)
@@ -231,9 +230,9 @@ class TestWordPath:
         cap = len(seq) if cap is None else cap  # None: capped at the length, so exact
         idx = LceIndex(seq, cap)
         ii = np.arange(597)
+        expected = [naive_lce(seq, i, i + 3) for i in ii.tolist()]
         for _ in range(2):
-            got = idx.lce_many(ii, ii + 3).tolist()
-            assert_capped(seq, zip(ii.tolist(), (ii + 3).tolist()), got, cap)
+            assert_capped(expected, idx.lce_many(ii, ii + 3), cap)
         assert len(suffix_sorts) == 1 and idx.suffix_order.size == len(seq)
 
     @pytest.mark.parametrize("seq,i,j,expected", [
@@ -294,17 +293,82 @@ def test_range_min_every_span():
             assert np.isin(lce._range_min(table, lo, hi), values).all()
 
 
+def fibonacci_sequence(length):
+    """The Fibonacci word over {0, 1}, cut to ``length`` - 1, then the
+    separator 2."""
+    a, b = [0], [0, 1]
+    while len(b) < length - 1:
+        a, b = b, b + a
+    return b[: length - 1] + [2]
+
+
+def changed_period_3(length, seed):
+    """Period-3 ranks with three changed symbols, then the separator 3."""
+    rng = random.Random(seed)
+    seq = [0, 1, 2] * (length // 3 + 1)
+    for p in rng.sample(range(length - 1), 3):
+        seq[p] = rng.randrange(3)
+    return seq[: length - 1] + [3]
+
+
+# repetitive sequences share most capped prefixes, so their capped index
+# has far fewer name groups than suffixes
+REPETITIVE = {
+    "unary": [0] * 99 + [1],
+    "period-2": [0, 1] * 60 + [2],
+    "period-3-changed": changed_period_3(150, 14),
+    "fibonacci": fibonacci_sequence(144),
+}
+CAPPED_CASES = {
+    **{
+        f"{length}-{sigma}-{seed}": random_sequence(random.Random(seed), length, sigma)
+        for length, sigma, seed in [(33, 1, 11), (130, 2, 12), (257, 4, 13)]
+    },
+    **REPETITIVE,
+}
+
+
+def lce_matrix(seq):
+    """lce[i, j] = naive LCE of the suffixes at i and j, for every pair."""
+    seq = np.asarray(seq)
+    table = np.zeros((seq.size + 1, seq.size + 1), dtype=np.int64)
+    for i in range(seq.size - 1, -1, -1):
+        table[i, :-1] = np.where(seq[i] == seq, table[i + 1, 1:] + 1, 0)
+    return table[:-1, :-1]
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3, 8, 64])
-@pytest.mark.parametrize("length,sigma,seed", [(33, 1, 11), (130, 2, 12), (257, 4, 13)])
-def test_capped_index_all_pairs(length, sigma, seed, cap):
+@pytest.mark.parametrize("seq", CAPPED_CASES.values(), ids=CAPPED_CASES.keys())
+def test_capped_index_all_pairs(seq, cap):
     # straight from the capped suffix index on every pair of distinct
     # offsets: through lce_many, words would answer most of them
-    seq = random_sequence(random.Random(seed), length, sigma)
+    length = len(seq)
     idx = LceIndex(seq, cap)
     ii, jj = all_pairs(length)
-    got = idx._index_lce(ii, jj)
+    expected = lce_matrix(seq)[ii, jj]
+    assert_capped(expected, idx._index_lce(ii, jj), cap)
     assert idx.suffix_order.size == length
-    assert_capped(seq, zip(ii.tolist(), jj.tolist()), got.tolist(), cap)
+    # one boundary LCP per group of equal last-round names
+    assert idx.lcp.size == np.unique(idx.rank).size
+    if seq in REPETITIVE.values() and cap >= 8:
+        assert idx.lcp.size < length
+        assert np.any(idx.rank[ii] == idx.rank[jj])
     # and through lce_many, with the index built
-    got = idx.lce_many(ii, jj)
-    assert_capped(seq, zip(ii.tolist(), jj.tolist()), got.tolist(), cap)
+    assert_capped(expected, idx.lce_many(ii, jj), cap)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("seq", CAPPED_CASES.values(), ids=CAPPED_CASES.keys())
+def test_lcp_array_at_group_boundaries(seq, cap):
+    # on a capped order, entry g is the LCE of the last suffix of group
+    # g - 1 and the first suffix of group g
+    idx = LceIndex(seq, cap)
+    order, levels = _suffix_array(idx._words, idx._shift, cap)
+    sorted_names = levels[-1][order].tolist()
+    groups = max(sorted_names) + 1
+    assert sorted_names == sorted(sorted_names)  # each group is one run
+    firsts = [sorted_names.index(g) for g in range(groups)]
+    expected = [0] + [
+        naive_lce(seq, order[first - 1], order[first]) for first in firsts[1:]
+    ]
+    assert _lcp_array(order, levels, idx._words, idx._shift).tolist() == expected

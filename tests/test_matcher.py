@@ -433,6 +433,14 @@ def test_every_lce_query_meets_the_index_contract(monkeypatch):
             assert np.all(got <= n + m - j)
 
 
+def _fibonacci_word(length):
+    """The Fibonacci word over ``AC``, cut to ``length``."""
+    a, b = "A", "AC"
+    while len(b) < length:
+        a, b = b, b + a
+    return b[:length]
+
+
 class TestOnDemandIndex:
     """The LCE index sorts suffixes only when a search's extensions outrun
     its word budget; the report is the same either way."""
@@ -500,6 +508,26 @@ class TestOnDemandIndex:
         while h < run:
             rounds, h = rounds + 1, 2 * h
         assert suffix_sorts == [rounds]
+
+
+    @pytest.mark.parametrize("raw_text,m,pattern_ns", [
+        ("A" * 5_000, 200, (37, 90, 151)),
+        (_fibonacci_word(5_000), 400, (100, 200, 300)),
+    ], ids=["unary", "fibonacci"])
+    def test_repetitive_text_builds_the_index_once(
+        self, suffix_sorts, raw_text, m, pattern_ns
+    ):
+        # the pattern is the text's prefix with a few Ns: long in-phase
+        # extensions spend the word budget, and the capped index built
+        # then groups most suffixes under shared names
+        raw_pattern = list(raw_text[:m])
+        for p in pattern_ns:
+            raw_pattern[p] = "N"
+        pattern, text = parse_iupac("".join(raw_pattern)), parse_iupac(raw_text)
+        report = find_occurrences(pattern, text)
+        assert len(suffix_sorts) == 1
+        assert list(report.exact_occurrences) == naive_match(pattern, text)
+        assert report.lce_queries == (len(pattern_ns) + 1) * (len(text) - m + 1)
 
 
 class TestBlocks:
