@@ -38,8 +38,9 @@ import numpy as np
 
 def _suffix_array(
     words: np.ndarray, shift: int, cap: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Suffix order by prefix doubling, and every round's int32 names.
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Suffix order by prefix doubling, every round's int32 names, and the
+    group boundaries of the order.
 
     ``words`` and ``shift`` are those of ``LceIndex``: the word at every
     offset, holding the next w = 64 >> ``shift`` codes, which equal the
@@ -53,6 +54,9 @@ def _suffix_array(
     named prefixes are at least ``cap`` long; the order then sorts the
     suffixes by those prefixes, with ties in no particular order. A cap of
     the length stops nothing early: such prefixes hold the separator.
+    The last round's names split the order into groups, runs of equal
+    names; ``boundaries`` holds each x at which ``order[x]`` ends one
+    group and ``order[x + 1]`` starts the next, in increasing order.
     """
     length = words.size
     h = 64 >> shift
@@ -63,13 +67,15 @@ def _suffix_array(
     sorted_names = np.zeros(length, dtype=np.int32)
     levels = []
     while True:
-        np.cumsum(sorted_keys[1:] != sorted_keys[:-1], out=sorted_names[1:])
+        changed = sorted_keys[1:] != sorted_keys[:-1]
         del sorted_keys
+        np.cumsum(changed, out=sorted_names[1:])
         names = np.empty(length, dtype=np.int32)
         names[order] = sorted_names
         levels.append(names)
         if sorted_names[-1] == length - 1 or h >= cap:
-            return order, levels
+            return order, levels, np.flatnonzero(changed)
+        del changed
         # a suffix whose h-prefix holds the unique separator already has a
         # name of its own, so clipping its second key changes no order
         sorted_keys = sorted_names.astype(np.int64)
@@ -82,29 +88,30 @@ def _suffix_array(
 
 
 def _lcp_array(
-    order: np.ndarray, levels: list[np.ndarray], words: np.ndarray, shift: int
+    order: np.ndarray,
+    boundaries: np.ndarray,
+    levels: list[np.ndarray],
+    words: np.ndarray,
+    shift: int,
 ) -> np.ndarray:
     """lcp[g] = LCP of the last suffix of name group g - 1 and the first
     suffix of group g, by binary lifting; lcp[0] = 0.
 
-    ``order``, ``levels``, ``words`` and ``shift`` are those of
-    ``_suffix_array``. A group is a run of equal last-round names in
-    ``order``, so group g holds the suffixes named g. Two groups differ
-    in their h-prefixes, the last round's, so a boundary LCP is below h.
-    From the round below the last down, a pair whose prefixes at its
-    current extension share a name extends by the round's prefix length,
-    w * 2^d for w = 64 >> ``shift`` codes per word. The lowest round names
-    w-prefixes, so the lift stops less than w short, and one comparison
-    of the words there adds the leading equal codes; every entry is
-    exact. Each round is dropped from ``levels`` once it is used. A common
-    prefix never reaches the unique separator, so no offset runs past the
-    end.
+    ``order``, ``boundaries``, ``words`` and ``shift`` are those of
+    ``_suffix_array``, and ``levels`` its rounds' names without the last.
+    A group is a run of equal last-round names in ``order``, so group g
+    holds the suffixes named g. Two groups differ in their h-prefixes, the
+    last round's, so a boundary LCP is below h. From the last round in
+    ``levels`` down, a pair whose prefixes at its current extension share
+    a name extends by the round's prefix length, w * 2^d for
+    w = 64 >> ``shift`` codes per word. The lowest round names w-prefixes,
+    so the lift stops less than w short, and one comparison of the words
+    there adds the leading equal codes; every entry is exact. Each round
+    is dropped from ``levels`` once it is used. A common prefix never
+    reaches the unique separator, so no offset runs past the end.
     """
-    sorted_names = levels.pop()[order]
-    heads = np.flatnonzero(sorted_names[1:] != sorted_names[:-1])
-    del sorted_names
-    left, right = order[heads], order[heads + 1]
-    lcp = np.zeros(heads.size + 1, dtype=np.int32)
+    left, right = order[boundaries], order[boundaries + 1]
+    lcp = np.zeros(boundaries.size + 1, dtype=np.int32)
     ext = lcp[1:]
     while levels:
         step = np.int32((64 >> shift) << (len(levels) - 1))
@@ -151,19 +158,32 @@ def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _leading_codes(x: np.ndarray, shift: int) -> np.ndarray:
     """Number of zero low-order codes of 2^``shift`` bits in each uint64,
     64 >> ``shift`` for zero: the codes a little-endian word of XORed codes
-    holds before its first nonzero one."""
-    count = np.negative(x)  # x & -x keeps the lowest set bit, 2^t
+    holds before its first nonzero one.
+
+    x & -x keeps the lowest set bit, 2^t, which converts to float exactly,
+    so its exponent field is t + 1023, or 0 for x = 0; one read of
+    ``_CODE_COUNTS[shift]`` at that field gives the count. 2^63 read as
+    int64 is -2^63, whose sign bit the shift carries down, so its field
+    reads 1086 - 2048, a negative index that ``take`` wraps to 1086.
+    """
+    count = np.negative(x)
     count &= x
-    # a power of two converts to float exactly, so its exponent field is
-    # t + 1023. 2^63 read as int64 is -2^63, whose sign bit the shift
-    # carries down, which leaves t modulo 2^11. Field 0 means x = 0, and
-    # 0 - 1023 becomes 1025, which the minimum makes 64 >> shift.
     count = count.view(np.int64).astype(np.float64).view(np.int64)
     count >>= 52
-    count -= 1023
-    count &= 2047
-    count >>= shift
-    return np.minimum(count, 64 >> shift, out=count)
+    return _CODE_COUNTS[shift].take(count)
+
+
+def _code_counts(shift: int) -> np.ndarray:
+    """Entry e is the number of whole codes of 2^``shift`` bits below bit
+    e - 1023, and 64 >> ``shift`` at e = 0; only e = 0 and 1023..1086 are
+    read."""
+    bit = np.arange(2048, dtype=np.int64) - 1023
+    table = np.where(bit < 0, 64, bit) >> shift
+    table.flags.writeable = False
+    return table
+
+
+_CODE_COUNTS = {shift: _code_counts(shift) for shift in (3, 4, 5)}
 
 
 _BLOCK_BITS = 5
@@ -233,9 +253,9 @@ class LceIndex:
     def _build(self) -> None:
         """Suffix order, group ids, boundary LCP array and range-minimum
         tables."""
-        order, levels = _suffix_array(self._words, self._shift, self.cap)
-        rank = levels[-1]
-        self._build_rmq(_lcp_array(order, levels, self._words, self._shift))
+        order, levels, boundaries = _suffix_array(self._words, self._shift, self.cap)
+        rank = levels.pop()
+        self._build_rmq(_lcp_array(order, boundaries, levels, self._words, self._shift))
         self.suffix_order, self.rank, self.lcp = order, rank, self._short[0]
         for a in (
             self.suffix_order, self.rank, self.lcp,
@@ -298,24 +318,28 @@ class LceIndex:
     def _compare(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Codes the words at offsets ``i`` and ``j`` share before their
         first difference, from 0 up to all of a word's 64 >> shift."""
-        return _leading_codes(self._words[i] ^ self._words[j], self._shift)
+        x = self._words.take(i)
+        np.bitwise_xor(x, self._words.take(j), out=x)
+        return _leading_codes(x, self._shift)
 
     def lce_many(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Longest common prefix of the suffixes at offsets ``i[x]`` and
         ``j[x]`` (0-based), two distinct offsets, for every x, capped at
         ``cap``; O(1) amortized each.
 
-        Each pair first compares one word of codes. A pair that matched
-        all of them goes on word by word while the word budget lasts and
-        the index is not built yet; whatever is still open goes to the
-        index.
+        Each pair first compares one word of codes, which answers the whole
+        batch when no pair matched all of them. A pair that did goes on
+        word by word while the word budget lasts and the index is not
+        built yet; whatever is still open goes to the index.
         """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         out = self._compare(i, j)
+        if out.max(initial=0) < 64 >> self._shift:
+            return out  # the empty batch too
         pending = np.flatnonzero(out == 64 >> self._shift)
         i, j = i[pending], j[pending]
-        if pending.size and self.suffix_order.size == 0:
+        if self.suffix_order.size == 0:
             rest = self._extend_by_words(out, pending, i, j)
             pending, i, j = pending[rest], i[rest], j[rest]
         if pending.size:

@@ -21,7 +21,12 @@ mismatch where the pattern or its own text window holds a placeholder,
 so alignment i gets the budget b_i = min(m, k_pattern + t_i), where t_i
 counts the text placeholders inside window i. On a solid text every b_i
 is k_pattern, and the recorded mismatches of an approximate alignment
-are exactly the pattern placeholders.
+are exactly the pattern placeholders. Stage 2 runs in rounds, one batch
+of LCE queries each, over the alignments still live; each keeps its
+running text and pattern offsets. Since b_i >= k_pattern and each of
+the first k_pattern jumps stops at or before a pattern placeholder, no
+alignment retires before round k_pattern, and on a solid text none
+retires at all.
 
 Three entry points run the stages: ``prepare`` builds the LCE index over
 both strings' codes, ``search`` runs stages 2 and 3 with that index, and
@@ -43,8 +48,7 @@ O((n + m) log R) in all. ``search`` runs stages 2 and 3 on one
 block of consecutive alignments at a time, so its mismatch table holds
 at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
 single alignment's budget is wider than that; the block's round
-temporaries, a contiguous copy of its budgets on a solid text among
-them, are O(block rows). The per-window budgets (one int32 per
+temporaries are O(block rows). The per-window budgets (one int32 per
 alignment, a zero-stride view that allocates nothing on a solid text)
 and the membership rows are built once per search.
 """
@@ -95,7 +99,9 @@ class MismatchTable:
     per-alignment budget, so the table is ``budget + 1`` columns wide.
     Columns past an alignment's own budget b_i were never searched and
     hold the sentinel; alignment i is approximate iff its column b_i
-    holds the sentinel.
+    holds the sentinel. Every pattern placeholder mismatches the text, so
+    the first k_pattern columns of every row hold mismatches, never the
+    sentinel.
 
     Beside the O(n + m) index, a search holds one such table at a time,
     and ``search`` sizes its blocks so that each table has at most
@@ -167,6 +173,19 @@ def kangaroo_search(
     never reached keep the sentinel, so that is when its column b_i
     holds it. ``budgets`` is the array ``window_budgets(pattern, text)``
     over all alignments, computed here when not given.
+
+    Round j makes one ``index.lce_many`` call for the alignments still
+    live and writes row j of the table. Each live alignment keeps its
+    text offset i + f and pattern offset n + f, f its last mismatch, and
+    both advance by q + 1 after a query answers q. The table is filled
+    in pattern-offset space, n + sentinel and n + f, and shifted back by
+    n once at the end, so n + m + 1 must stay below 2^31. An alignment
+    retires once it reaches the sentinel or has made b_i + 1 jumps, but
+    none can before round k_pattern: every pattern placeholder mismatches
+    every text symbol, so mismatch j <= k_pattern lies at or before the
+    j-th placeholder, and every b_i >= k_pattern. So the retirement test
+    runs only after rounds k_pattern .. k - 1, for the block's widest
+    budget k; on a solid text every b_i is k_pattern and it never runs.
     At most sum of (b_i + 1) queries over the range, and at most
     (k_total + 1)(n - m + 1) in total, each O(1) amortized. Returns the
     range's table and its approximate alignments.
@@ -178,42 +197,41 @@ def kangaroo_search(
     if budgets is None:
         budgets = window_budgets(pattern, text)
     lo, count = alignments.start, len(alignments)
-    # contiguous, a copy on a solid text: comparing against the
-    # zero-stride view costs several times more per round
-    budgets = np.ascontiguousarray(budgets[lo : lo + count])
+    budgets = budgets[lo : lo + count]
     k = int(budgets.max(initial=0))  # an empty range gives a 0-row table
+    k_pattern = len(pattern.sets)
 
-    # round j writes row j. While no alignment of the block has retired
-    # it writes the row whole, as one slice, which costs a tenth of a
-    # scatter; after that it scatters through ``active``. On a solid text
-    # no alignment retires before the last round, as each mismatches at
-    # all k_pattern pattern placeholders. The live alignments' rows, text
-    # offsets, budgets and last mismatch f are kept packed, and repacked
-    # only in a round that retires some.
-    entries = np.full((k + 1, count), sentinel, dtype=np.int32)
+    # While no alignment of the block has retired a round writes its row
+    # whole, as one slice, which costs a tenth of a scatter; after that it
+    # scatters through ``active``. The live alignments' rows, offsets and
+    # budgets are kept packed, and repacked only in a round that retires
+    # some.
+    entries = np.full((k + 1, count), n + sentinel, dtype=np.int32)
     active = np.arange(count, dtype=np.int64)
-    start = active + lo
+    text_at = active + lo
+    pattern_at = np.full(count, n, dtype=np.int64)
     live_budgets = budgets
-    f = np.zeros(count, dtype=np.int64)
     queries = 0
     for j in range(k + 1):
         if active.size == 0:
             break
-        q = index.lce_many(start + f, n + f)
+        q = index.lce_many(text_at, pattern_at)
         queries += int(active.size)
-        q += f
         q += 1
-        f = q
+        text_at += q
+        pattern_at += q
         if active.size == count:
-            entries[j] = f
+            entries[j] = pattern_at
         else:
-            entries[j, active] = f
-        keep = f != sentinel
-        keep &= live_budgets > j
-        if not keep.all():
-            active, start, live_budgets, f = (
-                active[keep], start[keep], live_budgets[keep], f[keep]
-            )
+            entries[j, active] = pattern_at
+        if k_pattern <= j < k:
+            keep = pattern_at != n + sentinel
+            keep &= live_budgets > j
+            if not keep.all():
+                active, text_at, pattern_at, live_budgets = (
+                    active[keep], text_at[keep], pattern_at[keep], live_budgets[keep]
+                )
+    entries -= n
 
     cells = budgets * count + np.arange(count)  # cell (b_i, i) of the flat table
     approx = np.flatnonzero(entries.take(cells) == sentinel) + lo

@@ -59,7 +59,7 @@ class TestBuild:
     def test_example_sequence_builds(self):
         idx = exact_index(EXAMPLE_SEQ)
         assert idx.length == 21
-        order, _ = _suffix_array(idx._words, idx._shift, cap=len(EXAMPLE_SEQ))
+        order, _, _ = _suffix_array(idx._words, idx._shift, cap=len(EXAMPLE_SEQ))
         assert sorted(order.tolist()) == list(range(21))
 
 
@@ -97,11 +97,13 @@ def test_arrays_match_naive_suffix_sort(seq):
     for offset, shift in ((0, 3), (256, 4), (65_536, 5)):
         idx = exact_index([offset + r for r in seq])
         assert idx._shift == shift
-        suffix_order, levels = _suffix_array(idx._words, idx._shift, cap=len(seq))
-        rank = levels[-1]  # capped at the length, the last round's names are all distinct
+        suffix_order, levels, boundaries = _suffix_array(idx._words, idx._shift, cap=len(seq))
+        rank = levels.pop()  # capped at the length, the last round's names are all distinct
         assert suffix_order.tolist() == order
         assert rank.tolist() == naive_rank
-        assert _lcp_array(suffix_order, levels, idx._words, idx._shift).tolist() == lcp
+        assert boundaries.tolist() == list(range(len(seq) - 1))
+        got = _lcp_array(suffix_order, boundaries, levels, idx._words, idx._shift)
+        assert got.tolist() == lcp
 
 
 class TestQueries:
@@ -113,6 +115,24 @@ class TestQueries:
         # text suffix "adc..." against pattern suffix "a<placeholder>..."
         idx = exact_index(EXAMPLE_SEQ)
         assert idx.lce_many([7], [15]).tolist() == [1]
+
+    def test_no_pairs(self):
+        got = exact_index(EXAMPLE_SEQ).lce_many([], [])
+        assert got.size == 0 and got.dtype.kind == "i"
+
+    @pytest.mark.parametrize("offset", [0, 256, 65_536])
+    def test_pairs_within_one_word_spend_nothing(self, offset):
+        # no pair shares a whole word of codes, 8, 4 or 2 of them, so the
+        # first word answers every pair: no word budget spent, no index
+        seq = [offset + r for r in random_sequence(random.Random(7), 300, 4)]
+        idx = exact_index(seq)
+        ii, jj = all_pairs(len(seq))
+        expected = lce_matrix(seq)[ii, jj]
+        short = expected < 64 >> idx._shift
+        assert np.count_nonzero(short) > len(seq)
+        got = idx.lce_many(ii[short], jj[short])
+        assert np.array_equal(got, expected[short])
+        assert idx._word_budget == idx.length and idx.suffix_order.size == 0
 
 
 class TestOracleEquivalence:
@@ -363,12 +383,13 @@ def test_lcp_array_at_group_boundaries(seq, cap):
     # on a capped order, entry g is the LCE of the last suffix of group
     # g - 1 and the first suffix of group g
     idx = LceIndex(seq, cap)
-    order, levels = _suffix_array(idx._words, idx._shift, cap)
-    sorted_names = levels[-1][order].tolist()
+    order, levels, boundaries = _suffix_array(idx._words, idx._shift, cap)
+    sorted_names = levels.pop()[order].tolist()
     groups = max(sorted_names) + 1
     assert sorted_names == sorted(sorted_names)  # each group is one run
     firsts = [sorted_names.index(g) for g in range(groups)]
+    assert boundaries.tolist() == [first - 1 for first in firsts[1:]]
     expected = [0] + [
         naive_lce(seq, order[first - 1], order[first]) for first in firsts[1:]
     ]
-    assert _lcp_array(order, levels, idx._words, idx._shift).tolist() == expected
+    assert _lcp_array(order, boundaries, levels, idx._words, idx._shift).tolist() == expected

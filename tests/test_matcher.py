@@ -348,9 +348,9 @@ def suffix_sorts(monkeypatch):
     sort = lce._suffix_array
 
     def recording_sort(*args):
-        order, levels = sort(*args)
+        order, levels, boundaries = sort(*args)
         calls.append(len(levels))
-        return order, levels
+        return order, levels, boundaries
 
     monkeypatch.setattr(lce, "_suffix_array", recording_sort)
     return calls
@@ -561,7 +561,10 @@ def _naive_tables():
     """Seeded (pattern, text) pairs for the whole-table check: a solid
     text, on which every round writes its row whole, a degenerate text
     with mixed budgets, whose rounds write after retirements, a periodic
-    text and m = n."""
+    text and m = n; a solid pattern on a degenerate text, where k_pattern
+    = 0 and alignments retire from round 0; a pattern of placeholders
+    alone (m = k_pattern); and an all-N text, where every budget clamps
+    at m."""
     rng = random.Random(13)
     solid = [rng.choice("ACGT") for _ in range(300)]
     solid[40:47] = solid[200:207] = "ACGTAGA"
@@ -572,42 +575,64 @@ def _naive_tables():
         "degenerate": ("AYGNT", "".join(degenerate)),
         "periodic": ("ACGNCGA", "ACG" * 60),
         "m-equals-n": ("ACNTNA", "ACGTTA"),
+        "solid-pattern": ("ACG", "".join(degenerate)),
+        "placeholders-only": ("NRYN", "".join(degenerate)),
+        "all-n-text": ("ACNTRGA", "N" * 40),
     }
 
 
 @pytest.mark.parametrize("cells", [8, 1 << 18])
-@pytest.mark.parametrize("case", ["solid", "degenerate", "periodic", "m-equals-n"])
+@pytest.mark.parametrize("case", list(_naive_tables()))
 def test_every_table_equals_a_naive_kangaroo(monkeypatch, case, cells):
     # column i holds the first b_i + 1 mismatches of window i against the
-    # coded pattern, then the sentinel once fewer remain, padded with it
+    # coded pattern, then the sentinel once fewer remain, padded with it.
+    # Each block's search calls lce_many once per round, with the
+    # alignments still live: the benchmark's traced run reads its query
+    # count, rounds and survivors from these calls.
     raw_pattern, raw_text = _naive_tables()[case]
     pattern, text = parse_iupac(raw_pattern), parse_iupac(raw_text)
     seq = prepare(pattern, text).seq
     m, n = len(pattern), len(text)
+    k_pattern = len(pattern.sets)
     budgets = window_budgets(pattern, text)
     monkeypatch.setattr(matcher, "BLOCK_CELLS", cells)
-    tables = []
+    tables, calls = [], []
+    lce_many = lce.LceIndex.lce_many
+
+    def recording_lce_many(index, i, j):
+        calls[-1].append(len(i))
+        return lce_many(index, i, j)
 
     def recording_search(*args, **kwargs):
+        calls.append([])
         tables.append(kangaroo_search(*args, **kwargs))
         return tables[-1]
 
+    monkeypatch.setattr(lce.LceIndex, "lce_many", recording_lce_many)
     monkeypatch.setattr(matcher, "kangaroo_search", recording_search)
     find_occurrences(pattern, text)
     assert sum(table.alignments for table, _ in tables) == n - m + 1
-    for table, approx in tables:
-        columns, queries, approximate = [], 0, []
+    for (table, approx), sizes in zip(tables, calls):
+        columns, queries, approximate = [], [], []
         for i in range(table.first, table.first + table.alignments):
             b = budgets[i]
             mismatches = [e for e in range(1, m + 1) if seq[i + e - 1] != seq[n + e - 1]]
             column = mismatches[: b + 1] + [m + 1] * (table.budget + 1)
             columns.append(column[: table.budget + 1])
-            queries += min(len(mismatches), b) + 1
+            queries.append(min(len(mismatches), b) + 1)
             if len(mismatches) <= b:
                 approximate.append(i)
         assert table.entries.tolist() == columns
         assert approx == tuple(approximate)
-        assert table.query_count == queries
+        assert table.query_count == sum(queries)
+        # no alignment retires before round k_pattern: its rows
+        # 0..k_pattern - 1 hold a mismatch, never the sentinel
+        assert np.all(table.entries[:, :k_pattern] <= m)
+        # round j queries the alignments that make more than j jumps
+        live = [sum(q > j for q in queries) for j in range(max(queries, default=0))]
+        assert sizes == live
+        assert sizes == sorted(sizes, reverse=True)
+        assert sum(sizes) == table.query_count
 
 
 class TestFilter:
