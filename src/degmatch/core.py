@@ -4,9 +4,9 @@ A degenerate symbol is a non-empty subset of the alphabet occupying one
 string position, a bit mask over alphabet ranks, so "do two symbols
 match" is a single integer AND. A degenerate string is stored in the
 form the search reads (stage 1): one rank per position, where each
-non-solid symbol gets its own placeholder rank past the alphabet, plus
-the masks of its k non-solid sets. Positions are 1-based in every public
-interface.
+distinct non-solid set of the string gets one placeholder rank past the
+alphabet, plus the masks of those distinct sets. Positions are 1-based in
+every public interface.
 """
 
 from typing import Iterable, Iterator
@@ -179,11 +179,13 @@ class DegenerateString:
     """Immutable sequence of degenerate symbols over a single alphabet.
 
     ``ranks`` is a read-only int32 array: the alphabet rank at a solid
-    position and sigma + j at the j-th non-solid position (j from 0, left
-    to right). ``sets`` holds the k non-solid sets as masks, in the same
-    order; Python integers hold a mask of any width, so every alphabet
-    size has this one form. ``symbols``, ``symbol_at`` and iteration give
-    ``DegenerateSymbol`` views.
+    position and sigma + d at a non-solid position that holds ``sets[d]``.
+    ``sets`` holds each distinct non-solid set of the string once, as a
+    mask, in increasing mask order, so equal symbol sequences give equal
+    ``ranks`` and ``sets``; the k non-solid positions are
+    ``non_solid_positions``. Python integers hold a mask of any width, so
+    every alphabet size has this one form. ``symbols``, ``symbol_at`` and
+    iteration give ``DegenerateSymbol`` views.
     """
 
     __slots__ = ("alphabet", "ranks", "sets")
@@ -238,7 +240,7 @@ class DegenerateString:
 
     def is_conservative(self, k: int) -> bool:
         """At most ``k`` non-solid positions."""
-        return len(self.sets) <= k
+        return np.count_nonzero(self.ranks >= len(self.alphabet)) <= k
 
     def symbol_at(self, pos: int) -> DegenerateSymbol:
         """Symbol at 1-based position ``pos``."""
@@ -252,20 +254,23 @@ class DegenerateString:
         """Symbols at 1-based positions i..j; i = j+1 yields the empty string."""
         if not (1 <= i <= j + 1 and j <= len(self)):
             raise OutOfRange(f"substring bounds ({i}, {j}) invalid for length {len(self)}")
-        return _pack(self.alphabet, self._rank_masks(), self.ranks[i - 1 : j])
+        held, codes = np.unique(self.ranks[i - 1 : j], return_inverse=True)
+        masks = self._rank_masks()
+        return _pack(self.alphabet, [masks[r] for r in held.tolist()], codes)
 
 
 def _pack(alphabet: Alphabet, masks: list[int], codes: np.ndarray) -> DegenerateString:
-    """The string whose position p holds the set ``masks[codes[p]]``.
-    Python visits each entry of ``masks`` and each non-solid position
-    once; the rest is numpy over ``codes``."""
-    solid = np.array([mk.bit_count() == 1 for mk in masks], dtype=bool)
-    ranks = np.array([mk.bit_length() - 1 for mk in masks], dtype=np.int32)[codes]
-    placed = np.flatnonzero(~solid[codes])
-    ranks[placed] = len(alphabet) + np.arange(len(placed))
+    """The string whose position p holds the set ``masks[codes[p]]``,
+    where ``codes`` reads every entry of ``masks``. Each distinct
+    non-solid set gets the rank sigma + d, d its place in increasing mask
+    order. Python visits each entry of ``masks`` twice; the rest is one
+    numpy gather over ``codes``."""
+    sets = sorted({mk for mk in masks if mk.bit_count() > 1})
+    rank = {mk: r for r, mk in enumerate(sets, len(alphabet))}
+    ranks = np.array([rank.get(mk, mk.bit_length() - 1) for mk in masks], dtype=np.int32)[codes]
     ranks.flags.writeable = False
     s = DegenerateString.__new__(DegenerateString)
-    s.alphabet, s.ranks, s.sets = alphabet, ranks, tuple(masks[c] for c in codes[placed].tolist())
+    s.alphabet, s.ranks, s.sets = alphabet, ranks, tuple(sets)
     return s
 
 

@@ -1,13 +1,13 @@
 """Three-stage degenerate pattern search.
 
 Stage 1 happens at parse time: a ``DegenerateString`` stores every
-non-solid symbol as a fresh placeholder rank outside the base alphabet,
-and it keeps the k sets beside them. Stage 2 finds, for every alignment,
-the first k+1 mismatch positions with one constant-time LCE jump each.
-Stage 3 gives every recorded mismatch of an approximate alignment one
-verdict, in pattern order: fake when the pattern set and the text set
-there intersect, real otherwise. An alignment is an exact occurrence iff
-all of its verdicts are fake.
+non-solid symbol as a placeholder rank outside the base alphabet, one
+rank per distinct set, and it keeps those sets beside them. Stage 2
+finds, for every alignment, the first k+1 mismatch positions with one
+constant-time LCE jump each. Stage 3 gives every recorded mismatch of an
+approximate alignment one verdict, in pattern order: fake when the
+pattern set and the text set there intersect, real otherwise. An
+alignment is an exact occurrence iff all of its verdicts are fake.
 
 Stage 2 only asks for the LCE of a text offset and a pattern offset,
 the kangaroo jumps of Landau and Vishkin. Over the positions those read,
@@ -50,7 +50,8 @@ at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
 single alignment's budget is wider than that; the block's round
 temporaries are O(block rows). The per-window budgets (one int32 per
 alignment, a zero-stride view that allocates nothing on a solid text)
-and the membership rows are built once per search.
+and the membership rows, one per base symbol and per distinct set of
+each string, are built once per search.
 """
 
 from dataclasses import dataclass
@@ -79,12 +80,12 @@ def substitute(s: DegenerateString, code: int) -> np.ndarray:
 
 def precompute_membership(s: DegenerateString) -> np.ndarray:
     """Bit-packed membership rows of ``s``, indexed by its ranks: row r < sigma
-    holds base symbol r alone and row sigma + j the j-th non-solid set, so
-    two sets intersect iff the byte-wise AND of their rows is non-zero."""
+    holds base symbol r alone and row sigma + d the d-th distinct set,
+    ``s.sets[d]``, so two sets intersect iff the byte-wise AND of their
+    rows is non-zero."""
     width = (len(s.alphabet) + 7) // 8
-    masks = [1 << r for r in range(len(s.alphabet))] + list(s.sets)
-    packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    return np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width)
+    packed = b"".join(mask.to_bytes(width, "little") for mask in s._rank_masks())
+    return np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +144,7 @@ def window_budgets(pattern: DegenerateString, text: DegenerateString) -> np.ndar
     every b_i is k_pattern, and the array is a read-only zero-stride view
     of that one value."""
     m, n = len(pattern), len(text)
-    k_pattern = len(pattern.sets)
+    k_pattern = int(np.count_nonzero(pattern.ranks >= len(pattern.alphabet)))
     if not text.sets:
         return np.broadcast_to(np.int32(k_pattern), (n - m + 1,))
     placeholders = np.zeros(n + 1, dtype=np.int32)
@@ -199,7 +200,7 @@ def kangaroo_search(
     lo, count = alignments.start, len(alignments)
     budgets = budgets[lo : lo + count]
     k = int(budgets.max(initial=0))  # an empty range gives a 0-row table
-    k_pattern = len(pattern.sets)
+    k_pattern = int(np.count_nonzero(pattern.ranks >= len(pattern.alphabet)))
 
     # While no alignment of the block has retired a round writes its row
     # whole, as one slice, which costs a tenth of a scatter; after that it

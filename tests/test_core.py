@@ -19,6 +19,7 @@ from degmatch import (
     parse_solid,
     symbols_match,
 )
+from degmatch.matcher import precompute_membership
 
 LETTERS = "abcdefgh"
 
@@ -187,6 +188,12 @@ class TestParseIupac:
     def test_case_insensitive(self):
         assert parse_iupac("acgtryswkmbdhvn") == parse_iupac("ACGTRYSWKMBDHVN")
 
+    def test_one_rank_per_distinct_set(self):
+        s = parse_iupac("NnRNr")
+        assert s.sets == (0b0101, 0b1111)  # R = {A, G}, N = {A, C, G, T}
+        assert s.ranks.tolist() == [5, 5, 4, 5, 4]
+        assert s.non_solid_positions == (1, 2, 3, 4, 5)
+
     def test_all_codes_cardinalities(self):
         s = parse_iupac("ACGT RYSWKM BDHV N".replace(" ", ""))
         sizes = [len(sym) for sym in s]
@@ -226,6 +233,30 @@ class TestProperties:
     def test_non_solid_positions_iff_cardinality_two_or_more(self, s):
         expected = tuple(p for p in range(1, len(s) + 1) if len(s.symbol_at(p)) >= 2)
         assert s.non_solid_positions == expected
+
+    @given(degenerate_strings())
+    def test_coding_is_canonical(self, s):
+        # one rank per distinct non-solid set, in increasing mask order, so
+        # every constructor codes an equal symbol sequence alike
+        alphabet, sigma = s.alphabet, len(s.alphabet)
+        copies = [
+            DegenerateString(alphabet, s.symbols),
+            parse_bracket(format_bracket(s), alphabet),
+            s.substring(1, len(s)),
+            pickle.loads(pickle.dumps(s)),
+        ]
+        for c in copies:
+            assert c.ranks.tolist() == s.ranks.tolist()
+            assert c.sets == s.sets and hash(c) == hash(s)
+        assert all(a < b for a, b in zip(s.sets, s.sets[1:]))
+        assert set(s.sets) == {s.symbol_at(p).mask for p in s.non_solid_positions}
+        assert len(s.sets) <= len(s.non_solid_positions)
+        assert all(r < sigma + len(s.sets) for r in s.ranks.tolist())
+        assert precompute_membership(s).shape[0] == sigma + len(s.sets)
+        # a slice keeps only the sets it still holds
+        tail = s.substring(2, len(s)) if s else s
+        assert tail.sets == DegenerateString(alphabet, s.symbols[1:]).sets
+        assert set(tail.sets) == {tail.symbol_at(p).mask for p in tail.non_solid_positions}
 
     @given(degenerate_strings())
     def test_conservativeness_threshold(self, s):

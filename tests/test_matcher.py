@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,24 @@ def _sigma_70(rng):
     )
 
 
+# Sets over abcd that nest or overlap: [ab] < [abc] < [bd] in mask order.
+ABCD = Alphabet("abcd")
+NESTED = ("a", "b", "c", "d", "[abc]", "[bd]")
+
+
+def _repeated_bracket_sets(rng):
+    """Pattern and text that repeat the nested sets and lead with them
+    out of mask order; the pattern's set table (abc, bd) differs from
+    the text's (ab, abc, bd), so one set gets a different rank in each."""
+    return (
+        "[bd]" + "".join(rng.choice(NESTED) for _ in range(rng.randint(0, 4))) + "[abc]",
+        "[bd][ab]"
+        + "".join(rng.choice(NESTED + ("[ab]",)) for _ in range(rng.randint(4, 28)))
+        + "[abc]",
+        lambda raw: parse_bracket(raw, ABCD),
+    )
+
+
 # Adversarial degenerate-text families: (pattern, text, parser) per seed.
 ADVERSARIAL = {
     "all-n-text": lambda rng: (
@@ -112,6 +131,7 @@ ADVERSARIAL = {
         parse_iupac,
     ),
     "sigma-70": _sigma_70,
+    "repeated-bracket-sets": _repeated_bracket_sets,
 }
 
 
@@ -593,7 +613,7 @@ def test_every_table_equals_a_naive_kangaroo(monkeypatch, case, cells):
     pattern, text = parse_iupac(raw_pattern), parse_iupac(raw_text)
     seq = prepare(pattern, text).seq
     m, n = len(pattern), len(text)
-    k_pattern = len(pattern.sets)
+    k_pattern = len(pattern.non_solid_positions)
     budgets = window_budgets(pattern, text)
     monkeypatch.setattr(matcher, "BLOCK_CELLS", cells)
     tables, calls = [], []
@@ -772,6 +792,25 @@ class TestFindOccurrences:
             pattern, text = generate_instance(spec)
             report = find_occurrences(pattern, text)
             assert list(report.exact_occurrences) == naive_match(pattern, text), spec
+
+    def test_mostly_n_text_search_peaks_under_64_bytes_per_symbol(self):
+        # a 90%-N text holds one distinct set, so stage 3 keeps sigma + 1
+        # membership rows for it, not one per text placeholder
+        rng = np.random.default_rng(16)
+        n = 1 << 17
+        bases = np.where(rng.random(n) < 0.9, "N", rng.choice(list("ACGT"), n))
+        text = parse_iupac("".join(bases))
+        raw_pattern = rng.choice(list("ACGT"), 64)
+        raw_pattern[[10, 40]] = "N", "R"
+        pattern = parse_iupac("".join(raw_pattern))
+        tracemalloc.start()
+        try:
+            report = find_occurrences(pattern, text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.approximate_occurrences
+        assert peak < 64 * n
 
 
 class TestStructuralInvariants:
