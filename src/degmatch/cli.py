@@ -14,6 +14,7 @@ from .core import (
     DegenerateString,
     DNA_ALPHABET,
     ParseError,
+    _FORBIDDEN,
     parse_bracket,
     parse_iupac,
     parse_solid,
@@ -28,9 +29,6 @@ class FastaError(ValueError):
 
 class EmptyFile(FastaError):
     pass
-
-
-_BRACKET_METACHARS = frozenset("[],")
 
 
 def _split_fasta(contents: str):
@@ -83,9 +81,8 @@ def _read(path: str) -> str:
 
 def _collect_chars(raw: str, syntax: str) -> set:
     chars = set(raw)
-    chars -= {c for c in chars if c.isspace()}
     if syntax == "bracket":
-        chars -= _BRACKET_METACHARS
+        chars -= _FORBIDDEN
     return chars
 
 

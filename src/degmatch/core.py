@@ -185,7 +185,11 @@ class DegenerateString:
     ``ranks`` and ``sets``; the k non-solid positions are
     ``non_solid_positions``. Python integers hold a mask of any width, so
     every alphabet size has this one form. ``symbols``, ``symbol_at`` and
-    iteration give ``DegenerateSymbol`` views.
+    iteration give ``DegenerateSymbol`` views. A copy or pickle holds the
+    mask of each rank once and the ranks in the narrowest unsigned dtype
+    that fits them, and is rebuilt by ``_pack`` without a symbol per
+    position; pickles that hold one symbol per position, as older
+    versions wrote, still load.
     """
 
     __slots__ = ("alphabet", "ranks", "sets")
@@ -219,7 +223,8 @@ class DegenerateString:
         return f"DegenerateString({format_bracket(self)!r})"
 
     def __reduce__(self):
-        return DegenerateString, (self.alphabet, self.symbols)  # copies get read-only ranks too
+        masks = self._rank_masks()
+        return _pack, (self.alphabet, masks, self.ranks.astype(np.min_scalar_type(len(masks) - 1)))
 
     def _rank_masks(self) -> list[int]:
         """The set of every rank: the sigma base symbols, then ``sets``."""
@@ -261,7 +266,7 @@ class DegenerateString:
 
 def _pack(alphabet: Alphabet, masks: list[int], codes: np.ndarray) -> DegenerateString:
     """The string whose position p holds the set ``masks[codes[p]]``,
-    where ``codes`` reads every entry of ``masks``. Each distinct
+    where ``codes`` reads every non-solid entry of ``masks``. Each distinct
     non-solid set gets the rank sigma + d, d its place in increasing mask
     order. Python visits each entry of ``masks`` twice; the rest is one
     numpy gather over ``codes``."""
@@ -354,11 +359,11 @@ def parse_solid(text: str, alphabet: Alphabet) -> DegenerateString:
 
 def format_bracket(s: DegenerateString) -> str:
     """Canonical bracket form: solid symbols bare, sets as ``[..]`` with
-    members in alphabet order, no whitespace. Inverse of ``parse_bracket``."""
-    parts = []
-    for sym in s.symbols:
-        parts.append(sym.chars() if sym.is_solid else f"[{sym.chars()}]")
-    return "".join(parts)
+    members in alphabet order, no whitespace. Inverse of ``parse_bracket``.
+    The text of each rank is built once and joined over ``ranks``."""
+    sets = [f"[{DegenerateSymbol(s.alphabet, mk).chars()}]" for mk in s.sets]
+    texts = list(s.alphabet.symbols) + sets
+    return "".join([texts[r] for r in s.ranks.tolist()])
 
 
 #: The 15 standard nucleotide codes over {A, C, G, T}.

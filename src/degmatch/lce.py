@@ -225,14 +225,13 @@ class LceIndex:
     """
 
     __slots__ = (
-        "seq", "length", "cap", "suffix_order", "rank", "lcp",
+        "seq", "cap", "suffix_order", "rank", "lcp",
         "_short", "_prefix_min", "_suffix_min", "_block_table",
         "_words", "_shift", "_word_budget",
     )
 
     def __init__(self, seq, cap: int):
         self.seq = arr = np.ascontiguousarray(seq, dtype=np.int32)
-        self.length = int(arr.size)
         self.cap = cap
         top = int(arr.max())
         width, self._shift = (1, 3) if top < 1 << 8 else (2, 4) if top < 1 << 16 else (4, 5)
@@ -244,7 +243,7 @@ class LceIndex:
         # unaligned view itself run several times slower
         self._words = np.ndarray((arr.size,), "<u8", buffer=codes, strides=(width,)).copy()
         self._words.flags.writeable = False
-        self._word_budget = self.length
+        self._word_budget = arr.size
         self.suffix_order = self.rank = self.lcp = np.empty(0, dtype=np.int32)
         self._short = self._block_table = np.empty((0, 0), dtype=np.int32)
         self._prefix_min = self._suffix_min = self.lcp

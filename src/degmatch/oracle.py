@@ -1,15 +1,18 @@
 """Brute-force reference matcher and seeded random instance generation.
 
-The reference matcher shares nothing with the indexed pipeline: it scans
-every alignment and intersects symbol sets directly, so the two sides can
-be checked against each other on randomized instances.
+The reference matcher shares nothing with stages 2 and 3: it scans every
+alignment and intersects symbol sets directly, so the two sides can be
+checked against each other on randomized instances. Generated strings are
+built by ``core._pack``, as parsed strings are.
 """
 
 import math
 import random
 from dataclasses import dataclass, replace
 
-from .core import Alphabet, DegenerateString, DegenerateSymbol, EmptyPattern
+import numpy as np
+
+from .core import Alphabet, DegenerateString, EmptyPattern, _pack
 
 #: Printed alongside the seed when an equivalence check fails.
 GENERATOR_NAME = "random.Random (Mersenne Twister)"
@@ -92,7 +95,8 @@ def generate_instance(spec: RandomInstanceSpec) -> tuple[DegenerateString, Degen
     Non-solid positions are drawn without replacement and filled with
     random sets of size 2..max_set_size; with probability 1/2 a true
     occurrence of the pattern is planted at a random alignment so that
-    positive cases are exercised.
+    positive cases are exercised. Each string goes from its list of masks
+    straight to ``core._pack``, with no symbol object per position.
     """
     rng = random.Random(spec.seed)
     alphabet = Alphabet(_SYMBOL_POOL[: spec.sigma])
@@ -120,9 +124,7 @@ def generate_instance(spec: RandomInstanceSpec) -> tuple[DegenerateString, Degen
             else:
                 text_masks[start + o] = 1 << c
 
-    pattern = DegenerateString(alphabet, [DegenerateSymbol(alphabet, mk) for mk in pattern_masks])
-    text = DegenerateString(alphabet, [DegenerateSymbol(alphabet, mk) for mk in text_masks])
-    return pattern, text
+    return tuple(_pack(alphabet, mks, np.arange(len(mks))) for mks in (pattern_masks, text_masks))
 
 
 def shrink(spec: RandomInstanceSpec) -> RandomInstanceSpec | None:

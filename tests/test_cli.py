@@ -185,10 +185,12 @@ class TestSyntaxes:
         assert capsys.readouterr().out.splitlines() == ["1"]
 
     def test_bracket_text(self, capsys):
-        assert main([
-            "-p", "ab", "--text", "a[bc]d", "--text-syntax", "bracket",
-        ]) == 0
-        assert capsys.readouterr().out.splitlines() == ["1"]
+        # the alphabet is inferred without the grammar's metacharacters
+        for text in ("a[bc]d", "a[b, c]d"):
+            assert main([
+                "-p", "ab", "--text", text, "--text-syntax", "bracket",
+            ]) == 0
+            assert capsys.readouterr().out.splitlines() == ["1"]
 
     def test_case_folding_end_to_end(self, capsys):
         assert main(["-p", "a[bc]da[bd]", "--text", "DACDABDADCABDAC"]) == 0

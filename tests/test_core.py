@@ -1,6 +1,7 @@
 import copy
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +23,23 @@ from degmatch import (
 from degmatch.matcher import precompute_membership
 
 LETTERS = "abcdefgh"
+
+# pickle.dumps(parse_bracket("a[bc]da[bd]", Alphabet("abcd"))) in the format
+# that stores one DegenerateSymbol per position
+ONE_SYMBOL_PER_POSITION_PICKLE = (
+    b"\x80\x04\x95\xfa\x00\x00\x00\x00\x00\x00\x00\x8c\rdegmatch.core\x94\x8c\x10"
+    b"DegenerateString\x94\x93\x94h\x00\x8c\x08Alphabet\x94\x93\x94)\x81\x94N}\x94("
+    b"\x8c\x07symbols\x94(\x8c\x01a\x94\x8c\x01b\x94\x8c\x01c\x94\x8c\x01d\x94t\x94"
+    b"\x8c\x06_ranks\x94}\x94(h\x08K\x00h\tK\x01h\nK\x02h\x0bK\x03uu\x86\x94b(h\x00"
+    b"\x8c\x10DegenerateSymbol\x94\x93\x94)\x81\x94N}\x94(\x8c\x08alphabet\x94h\x05"
+    b"\x8c\x04mask\x94K\x01u\x86\x94bh\x11)\x81\x94N}\x94(h\x14h\x05h\x15K\x06u\x86"
+    b"\x94bh\x11)\x81\x94N}\x94(h\x14h\x05h\x15K\x08u\x86\x94bh\x12h\x11)\x81\x94N}"
+    b"\x94(h\x14h\x05h\x15K\nu\x86\x94bt\x94\x86\x94R\x94."
+)
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("built through the per-position constructor")
 
 
 @st.composite
@@ -229,6 +247,21 @@ class TestProperties:
         assert parsed == s
         assert hash(parsed) == hash(s)
 
+    def test_format_bracket_builds_each_rank_text_once(self, monkeypatch):
+        wide = Alphabet(chr(0x100 + i) for i in range(300))
+        rng = np.random.default_rng(17)
+        pool = [int(b) << 150 | int(a) for a, b in rng.integers(1, 1 << 62, (20, 2))]
+        masks = [1 << int(r) for r in rng.integers(0, 300, 1 << 14)]
+        for p in rng.choice(len(masks), len(masks) // 4, replace=False).tolist():
+            masks[p] = pool[p % len(pool)]
+        s = DegenerateString(wide, [DegenerateSymbol(wide, mk) for mk in masks])
+        expected = "".join(y.chars() if y.is_solid else f"[{y.chars()}]" for y in s.symbols)
+        calls = []
+        chars = DegenerateSymbol.chars
+        monkeypatch.setattr(DegenerateSymbol, "chars", lambda y: calls.append(y) or chars(y))
+        assert format_bracket(s) == expected
+        assert len(calls) <= len(wide) + len(s.sets) and len(s.sets) == len(pool)
+
     @given(degenerate_strings())
     def test_non_solid_positions_iff_cardinality_two_or_more(self, s):
         expected = tuple(p for p in range(1, len(s) + 1) if len(s.symbol_at(p)) >= 2)
@@ -290,8 +323,21 @@ class TestProperties:
     @pytest.mark.parametrize(
         "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
     )
-    def test_copies_stay_read_only(self, golden_pattern, clone):
-        s = clone(golden_pattern)
+    def test_copies_stay_read_only(self, golden_pattern, clone, monkeypatch):
+        rng, n = np.random.default_rng(17), 1 << 16
+        bases = np.where(rng.random(n) < 0.9, "N", rng.choice(list("ACGT"), n))
+        mostly_n = parse_iupac("".join(bases))
+        monkeypatch.setattr(DegenerateString, "__init__", _refuse)
+        for s in (golden_pattern, mostly_n):
+            c = clone(s)
+            assert c == s and hash(c) == hash(s) and c.ranks.dtype == np.int32
+            with pytest.raises(ValueError):
+                c.ranks[0] = 3
+        # one mask per rank and one byte per position, not one symbol each
+        assert len(pickle.dumps(mostly_n)) <= len(mostly_n) + 4096
+
+    def test_pickles_of_one_symbol_per_position_still_load(self, golden_pattern):
+        s = pickle.loads(ONE_SYMBOL_PER_POSITION_PICKLE)
         assert s == golden_pattern and hash(s) == hash(golden_pattern)
         with pytest.raises(ValueError):
             s.ranks[0] = 3

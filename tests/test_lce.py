@@ -58,7 +58,7 @@ class TestBuild:
 
     def test_example_sequence_builds(self):
         idx = exact_index(EXAMPLE_SEQ)
-        assert idx.length == 21
+        assert idx.seq.size == 21
         order, _, _ = _suffix_array(idx._words, idx._shift, cap=len(EXAMPLE_SEQ))
         assert sorted(order.tolist()) == list(range(21))
 
@@ -132,7 +132,7 @@ class TestQueries:
         assert np.count_nonzero(short) > len(seq)
         got = idx.lce_many(ii[short], jj[short])
         assert np.array_equal(got, expected[short])
-        assert idx._word_budget == idx.length and idx.suffix_order.size == 0
+        assert idx._word_budget == idx.seq.size and idx.suffix_order.size == 0
 
 
 class TestOracleEquivalence:

@@ -1,7 +1,21 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from degmatch import EmptyPattern, naive_match, parse_bracket, parse_solid
+from degmatch import (
+    DegenerateString,
+    DegenerateSymbol,
+    EmptyPattern,
+    naive_match,
+    parse_bracket,
+    parse_solid,
+)
 from degmatch.oracle import RandomInstanceSpec, generate_instance, shrink
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("built a symbol per position")
 
 
 class TestNaiveMatch:
@@ -46,6 +60,17 @@ class TestGenerateInstance:
 
     def test_deterministic(self):
         assert generate_instance(self.SPEC) == generate_instance(self.SPEC)
+
+    def test_builds_no_symbol_per_position(self, monkeypatch):
+        specs = [replace(self.SPEC, seed=seed, sigma=sigma, max_set_size=min(sigma, 5))
+                 for seed in range(20) for sigma in (2, 4, 62)]
+        with monkeypatch.context() as patched:
+            patched.setattr(DegenerateSymbol, "__init__", _refuse)
+            instances = [generate_instance(spec) for spec in specs]
+        for s in (s for pair in instances for s in pair):
+            rebuilt = DegenerateString(s.alphabet, s.symbols)
+            assert s == rebuilt and hash(s) == hash(rebuilt)
+            assert s.ranks.dtype == np.int32 and not s.ranks.flags.writeable
 
     def test_shapes_and_counts(self):
         pattern, text = generate_instance(self.SPEC)
