@@ -110,45 +110,56 @@ def parse_grid(text: str) -> GridSpec:
     )
 
 
-def _time_cell(n: int, k: int, grid: GridSpec) -> BenchCell:
-    spec = RandomInstanceSpec(
-        n=n, m=grid.m, sigma=grid.sigma, k_pattern=k, k_text=0,
-        max_set_size=2, seed=BASE_SEED + 8191 * n + k,
-    )
-    pattern, text = generate_instance(spec)
-    bound = (k + 1) * (n - grid.m + 1)
-
-    build_times = []
-    search_times = []
-    queries = occurrences = 0
-    for _ in range(grid.reps):
-        t0 = time.perf_counter()
-        index = prepare(pattern, text)
-        t1 = time.perf_counter()
-        report = search(pattern, text, index)
-        t2 = time.perf_counter()
-        build_times.append(t1 - t0)
-        search_times.append(t2 - t1)
-        queries = report.lce_queries
-        occurrences = len(report.exact_occurrences)
-        if queries > bound:
-            raise AssertionError(
-                f"LCE query count {queries} exceeds (k+1)(n-m+1) = {bound} at n={n}, k={k}"
-            )
-
-    return BenchCell(
-        n=n, m=grid.m, k=k, sigma=grid.sigma, reps=grid.reps,
-        build_ms=statistics.median(build_times) * 1e3,
-        search_ms=statistics.median(search_times) * 1e3,
-        lce_queries=queries, query_bound=bound, occurrences=occurrences,
-    )
+def _time_once(pattern, text):
+    """One repetition of a cell: build and search times, and the report."""
+    t0 = time.perf_counter()
+    index = prepare(pattern, text)
+    t1 = time.perf_counter()
+    report = search(pattern, text, index)
+    t2 = time.perf_counter()
+    return t1 - t0, t2 - t1, report
 
 
 def run_scaling(grid: GridSpec) -> ScalingReport:
     """Time every (n, k) cell of the grid; median over ``grid.reps``
-    repetitions of the same fixed-seed instance."""
+    repetitions of the same fixed-seed instance.
+
+    Each cell's instance is built once. The repetitions then go round-robin
+    across the cells, so that a slow spell of the host lands on one
+    repetition of several cells rather than on every repetition of one.
+    """
+    keys = [(n, k) for n in grid.n_values for k in grid.k_values]
+    instances = [
+        generate_instance(RandomInstanceSpec(
+            n=n, m=grid.m, sigma=grid.sigma, k_pattern=k, k_text=0,
+            max_set_size=2, seed=BASE_SEED + 8191 * n + k,
+        ))
+        for n, k in keys
+    ]
+    bounds = [(k + 1) * (n - grid.m + 1) for n, k in keys]
+    build_times = [[] for _ in keys]
+    search_times = [[] for _ in keys]
+    reports = [None] * len(keys)
+    for _ in range(grid.reps):
+        for cell, ((n, k), (pattern, text), bound) in enumerate(zip(keys, instances, bounds)):
+            build_s, search_s, report = _time_once(pattern, text)
+            if report.lce_queries > bound:
+                raise AssertionError(
+                    f"LCE query count {report.lce_queries} exceeds (k+1)(n-m+1) = {bound}"
+                    f" at n={n}, k={k}"
+                )
+            build_times[cell].append(build_s)
+            search_times[cell].append(search_s)
+            reports[cell] = report
     cells = []
-    for n in grid.n_values:
-        for k in grid.k_values:
-            cells.append(_time_cell(n, k, grid))
+    for (n, k), bound, builds, searches, report in zip(
+        keys, bounds, build_times, search_times, reports
+    ):
+        cells.append(BenchCell(
+            n=n, m=grid.m, k=k, sigma=grid.sigma, reps=grid.reps,
+            build_ms=statistics.median(builds) * 1e3,
+            search_ms=statistics.median(searches) * 1e3,
+            lce_queries=report.lce_queries, query_bound=bound,
+            occurrences=len(report.exact_occurrences),
+        ))
     return ScalingReport(cells=tuple(cells))

@@ -21,8 +21,12 @@ reach ``cap``. The last round orders the suffixes, and its names split
 that order into groups of suffixes with one shared h-prefix; on
 repetitive text there are far fewer groups than suffixes. A suffix's
 group id is its last-round name. The LCP of each pair of adjacent
-groups comes from the same rounds by binary lifting, one vectorized
-pass per round, finished by one word comparison. A block-decomposed
+groups is carried from round to round, as in Manber and Myers: a
+boundary that a round adds inside an old group, at suffixes s and t,
+gets h plus the LCP of s + h and t + h, from one word comparison or, past
+one word, from a range minimum over the previous round's boundary LCPs.
+The build keeps no earlier round, so it needs O(L) memory whatever the
+number of rounds. A block-decomposed
 sparse table answers range-minimum queries over these boundary LCPs:
 per-block prefix/suffix minima plus a sparse table over block minima
 keep the hot query structures small enough to stay cache-resident at
@@ -36,89 +40,150 @@ Either way a pair costs O(1).
 import numpy as np
 
 
+#: Group boundaries that ``_lcp_array`` handles in one pass, so that its
+#: temporaries stay bounded however many boundaries a round has.
+_CHUNK = 1 << 14
+
+_LOW_NAME = (1 << 32) - 1
+
+
 def _suffix_array(
     words: np.ndarray, shift: int, cap: int
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Suffix order by prefix doubling, every round's int32 names, and the
-    group boundaries of the order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Suffix order by prefix doubling, each suffix's group id, and the LCP
+    at each group boundary of the order.
 
     ``words`` and ``shift`` are those of ``LceIndex``: the word at every
     offset, holding the next w = 64 >> ``shift`` codes, which equal the
     ranks. Each code is stored big-endian, so a byte-swapped word reads
     its codes in order, most significant first, and sorting the swapped
-    words orders their w-prefixes lexicographically. ``levels[d][p]``
-    names the (w * 2^d)-prefix of the suffix at ``p``. Each later round
-    sorts on (name, name h further on), with the keys built in the
-    previous round's order, so the stable sort only has to order the runs
-    of equal names. Doubling stops once every name is distinct or once the
-    named prefixes are at least ``cap`` long; the order then sorts the
-    suffixes by those prefixes, with ties in no particular order. A cap of
-    the length stops nothing early: such prefixes hold the separator.
+    words orders their w-prefixes lexicographically. Each later round
+    sorts on (name, name h further on) of the h-prefixes, with the keys
+    built in the previous round's order, so the stable sort only has to
+    order the runs of equal names, and doubles h. Doubling stops once every
+    name is distinct or once the named prefixes are at least ``cap`` long;
+    the order then sorts the suffixes by those prefixes, with ties in no
+    particular order. A cap of the length stops nothing early: such
+    prefixes hold the separator.
+
     The last round's names split the order into groups, runs of equal
-    names; ``boundaries`` holds each x at which ``order[x]`` ends one
-    group and ``order[x + 1]`` starts the next, in increasing order.
+    names; ``rank[p]`` is the name of the suffix at ``p``, so group g holds
+    the suffixes named g. ``lcp[g]`` is the LCP of the last suffix of group
+    g - 1 and the first of group g, and ``lcp[0]`` = 0. Each round updates
+    those boundary LCPs in ``_lcp_array``; only the current round's names
+    and boundary LCPs are kept. The first round splits one group, every
+    suffix's empty prefix, by the names of the w-prefixes.
     """
     length = words.size
-    h = 64 >> shift
     keys = words.byteswap()
     order = np.argsort(keys, kind="stable").astype(np.int32)
-    sorted_keys = keys[order]
-    del keys
+    keys = keys[order]
+    changed = keys[1:] != keys[:-1]
     sorted_names = np.zeros(length, dtype=np.int32)
-    levels = []
+    np.cumsum(changed, out=sorted_names[1:])
+    # round 0 splits one group, every suffix's empty prefix, on the names of
+    # the w-prefixes
+    keys = keys.view(np.int64)
+    np.copyto(keys, sorted_names)
+    lcp = np.zeros(1, dtype=np.int32)
+    h = 0
+    # the rounds write into the same buffers: fresh arrays every round
+    # tripled the build's page faults on a tandem-repeat record and made a
+    # search up to a tenth slower
+    spare = None  # the keys' second buffer, from the first doubling round on
     while True:
-        changed = sorted_keys[1:] != sorted_keys[:-1]
-        del sorted_keys
-        np.cumsum(changed, out=sorted_names[1:])
+        lcp = _lcp_array(lcp, keys, changed, sorted_names, order, h, words, shift)
+        h = 2 * h or 64 >> shift
         names = np.empty(length, dtype=np.int32)
         names[order] = sorted_names
-        levels.append(names)
-        if sorted_names[-1] == length - 1 or h >= cap:
-            return order, levels, np.flatnonzero(changed)
-        del changed
+        if lcp.size == length or h >= cap:
+            return order, names, lcp
+        np.copyto(keys, sorted_names)
+        keys <<= 32
         # a suffix whose h-prefix holds the unique separator already has a
         # name of its own, so clipping its second key changes no order
-        sorted_keys = sorted_names.astype(np.int64)
-        sorted_keys *= length
-        sorted_keys += names.take(order + h, mode="clip")
-        step = np.argsort(sorted_keys, kind="stable")
-        order = order[step]
-        sorted_keys = sorted_keys[step]
-        h *= 2
+        np.add(order, h, out=sorted_names)
+        keys |= names.take(sorted_names, mode="clip")
+        del names
+        step = np.argsort(keys, kind="stable")
+        if spare is None:
+            spare = np.empty_like(keys)
+        np.take(keys, step, out=spare)
+        keys, spare = spare, keys
+        np.take(order, step, out=sorted_names)
+        order, sorted_names = sorted_names, order
+        del step
+        np.not_equal(keys[1:], keys[:-1], out=changed)
+        sorted_names[0] = 0
+        np.cumsum(changed, out=sorted_names[1:])
 
 
 def _lcp_array(
+    lcp: np.ndarray,
+    keys: np.ndarray,
+    changed: np.ndarray,
+    sorted_names: np.ndarray,
     order: np.ndarray,
-    boundaries: np.ndarray,
-    levels: list[np.ndarray],
+    h: int,
     words: np.ndarray,
     shift: int,
 ) -> np.ndarray:
-    """lcp[g] = LCP of the last suffix of name group g - 1 and the first
-    suffix of group g, by binary lifting; lcp[0] = 0.
+    """The LCP at each group boundary of one doubling round, from those of
+    the round before: the LCP-during-sorting step of Manber and Myers.
 
-    ``order``, ``boundaries``, ``words`` and ``shift`` are those of
-    ``_suffix_array``, and ``levels`` its rounds' names without the last.
-    A group is a run of equal last-round names in ``order``, so group g
-    holds the suffixes named g. Two groups differ in their h-prefixes, the
-    last round's, so a boundary LCP is below h. From the last round in
-    ``levels`` down, a pair whose prefixes at its current extension share
-    a name extends by the round's prefix length, w * 2^d for
-    w = 64 >> ``shift`` codes per word. The lowest round names w-prefixes,
-    so the lift stops less than w short, and one comparison of the words
-    there adds the leading equal codes; every entry is exact. Each round
-    is dropped from ``levels`` once it is used. A common prefix never
-    reaches the unique separator, so no offset runs past the end.
+    The round before grouped the suffixes by their h-prefixes, with
+    ``lcp`` the LCP at each of its group boundaries, every one below h.
+    ``order`` is now sorted on ``keys``, ``keys[x]`` = (a << 32) | b for
+    the round-h names a of the suffix at ``order[x]`` and b of the one h
+    further on, so each old group keeps its run of positions in the order.
+    ``changed[x]`` marks a new boundary between x and x + 1, and
+    ``sorted_names`` numbers the new groups along the order.
+
+    - A boundary between two old groups keeps its old entry: every suffix
+      of one shares the same prefix with every suffix of the other.
+    - A boundary inside an old group, at suffixes s and t, gets
+      h + LCP(s + h, t + h). One comparison of the words at s + h and
+      t + h gives that LCP below w = 64 >> ``shift``. Where the words
+      match in full, it is the minimum of ``lcp`` over the old boundaries
+      between the names b of s + h and t + h; the block range-minimum
+      tables over ``lcp``, built the first time one is needed, answer those.
+
+    Round 0 passes h = 0, ``lcp`` = [0] and the names of the w-prefixes as
+    ``keys``: it splits one group, and its words never match in full. Each
+    pass takes the boundaries before ``_CHUNK`` new groups, so that the
+    temporaries stay O(``_CHUNK``).
     """
-    left, right = order[boundaries], order[boundaries + 1]
-    lcp = np.zeros(boundaries.size + 1, dtype=np.int32)
-    ext = lcp[1:]
-    while levels:
-        step = np.int32((64 >> shift) << (len(levels) - 1))
-        names = levels.pop()
-        ext += (names[left + ext] == names[right + ext]) * step
-    ext += _leading_codes(words[left + ext] ^ words[right + ext], shift)
-    return lcp
+    width = 64 >> shift
+    groups = int(sorted_names[-1]) + 1
+    out = np.empty(groups, dtype=np.int32)
+    out[0] = 0
+    tables = None
+    # the first position of every _CHUNK-th group, then the length
+    starts = np.arange(1, groups + _CHUNK, _CHUNK, dtype=sorted_names.dtype)
+    firsts = np.searchsorted(sorted_names, starts).tolist()
+    for group, lo, hi in zip(range(1, groups, _CHUNK), firsts, firsts[1:]):
+        x = np.flatnonzero(changed[lo - 1 : hi - 1])
+        x += lo - 1
+        left, right = keys[x], keys[x + 1]
+        old = right >> 32
+        entry = lcp.take(old)
+        split = np.flatnonzero(left >> 32 == old)
+        if split.size:
+            x = x[split]
+            q = _leading_codes(words[order[x] + h] ^ words[order[x + 1] + h], shift)
+            full = np.flatnonzero(q == width)
+            if full.size:
+                pairs = split[full]
+                lo_name = left[pairs] & _LOW_NAME
+                lo_name += 1
+                hi_name = right[pairs] & _LOW_NAME
+                if tables is None:
+                    tables = _rmq_tables(lcp)
+                q[full] = _block_range_min(tables, lo_name, hi_name, 0)
+            q += h
+            entry[split] = q
+        out[group : group + entry.size] = entry
+    return out
 
 
 def _sparse_table(values: np.ndarray, levels: int) -> np.ndarray:
@@ -190,6 +255,49 @@ _BLOCK_BITS = 5
 _BLOCK = 1 << _BLOCK_BITS
 
 
+def _rmq_tables(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Block-decomposed range-minimum tables over ``values``: a short sparse
+    table for ranges within one block width, and per-block prefix and
+    suffix minima with a sparse table over the block minima for longer
+    ranges. O(size) int32 entries."""
+    length = values.size
+    short = _sparse_table(values, min(_BLOCK_BITS + 1, max(1, length.bit_length())))
+    blocks = (length + _BLOCK - 1) >> _BLOCK_BITS
+    padded = np.full(blocks << _BLOCK_BITS, np.iinfo(np.int32).max, dtype=np.int32)
+    padded[:length] = values
+    grid = padded.reshape(blocks, _BLOCK)
+    prefix_min = np.minimum.accumulate(grid, axis=1).reshape(-1)[:length]
+    suffix_min = np.minimum.accumulate(grid[:, ::-1], axis=1)[:, ::-1].reshape(-1)[:length]
+    block_table = _sparse_table(grid.min(axis=1), max(1, int(blocks).bit_length()))
+    return short, prefix_min, suffix_min, block_table
+
+
+def _block_range_min(
+    tables: tuple[np.ndarray, ...], lo: np.ndarray, hi: np.ndarray, empty: int
+) -> np.ndarray:
+    """min(values[lo..hi]) per pair, inclusive, from ``_rmq_tables(values)``,
+    and ``empty`` for a pair with hi = lo - 1.
+
+    Every pair takes the block answer in one pass: the suffix minimum of
+    the first block, the prefix minimum of the last, and, where whole
+    blocks lie between, their minimum. Pairs whose range fits in one block
+    width, the empty ones among them, then take the short table's answer
+    or ``empty`` instead.
+    """
+    short_table, prefix_min, suffix_min, block_table = tables
+    # an empty range may start one past the end: clipped here, it is
+    # answered below
+    out = np.minimum(suffix_min.take(lo, mode="clip"), prefix_min[hi])
+    first = (lo >> _BLOCK_BITS) + 1
+    last = (hi >> _BLOCK_BITS) - 1
+    inner = first <= last
+    np.minimum(out, _range_min(block_table, first, last), out=out, where=inner)
+    short = np.flatnonzero(hi - lo < _BLOCK)
+    lo, hi = lo[short], hi[short]
+    out[short] = np.where(lo <= hi, _range_min(short_table, lo, hi), empty)
+    return out
+
+
 class LceIndex:
     """Longest-common-extension index over a rank sequence.
 
@@ -218,10 +326,13 @@ class LceIndex:
     its last-round name; ``lcp``, the LCP at each of the D group
     boundaries; and the range-minimum tables over ``lcp``. Only that
     build and the word budget change after construction. The order and
-    the group ids are O(L), and so is each doubling round's names, which
-    the build keeps until the lift has used them; the boundary LCPs and
-    the range-minimum tables are O(D). D = L when the capped prefixes
-    are all distinct, as on random text or at a cap of the length.
+    the group ids are O(L); the boundary LCPs and the range-minimum
+    tables are O(D). D = L when the capped prefixes are all distinct, as
+    on random text or at a cap of the length. The build holds only the
+    current doubling round's names and boundary LCPs, so its memory is
+    O(L) whatever the number of rounds: its ``tracemalloc`` peak is about
+    41 bytes per symbol on repetitive text and 52 on random text, where
+    D = L.
     """
 
     __slots__ = (
@@ -252,9 +363,8 @@ class LceIndex:
     def _build(self) -> None:
         """Suffix order, group ids, boundary LCP array and range-minimum
         tables."""
-        order, levels, boundaries = _suffix_array(self._words, self._shift, self.cap)
-        rank = levels.pop()
-        self._build_rmq(_lcp_array(order, boundaries, levels, self._words, self._shift))
+        order, rank, lcp = _suffix_array(self._words, self._shift, self.cap)
+        self._build_rmq(lcp)
         self.suffix_order, self.rank, self.lcp = order, rank, self._short[0]
         for a in (
             self.suffix_order, self.rank, self.lcp,
@@ -263,24 +373,8 @@ class LceIndex:
             a.flags.writeable = False
 
     def _build_rmq(self, lcp: np.ndarray) -> None:
-        """Block-decomposed range minimum over the boundary LCP array.
-
-        Ranges within one block width come from a short sparse table;
-        longer ranges combine a block-suffix minimum, whole-block minima
-        from a sparse table over blocks, and a block-prefix minimum.
-        """
-        length = lcp.size
-        self._short = _sparse_table(lcp, min(_BLOCK_BITS + 1, max(1, length.bit_length())))
-
-        blocks = (length + _BLOCK - 1) >> _BLOCK_BITS
-        padded = np.full(blocks << _BLOCK_BITS, np.iinfo(np.int32).max, dtype=np.int32)
-        padded[:length] = lcp
-        grid = padded.reshape(blocks, _BLOCK)
-        self._prefix_min = np.minimum.accumulate(grid, axis=1).reshape(-1)[:length]
-        self._suffix_min = (
-            np.minimum.accumulate(grid[:, ::-1], axis=1)[:, ::-1].reshape(-1)[:length]
-        )
-        self._block_table = _sparse_table(grid.min(axis=1), max(1, int(blocks).bit_length()))
+        """Range-minimum tables over the boundary LCP array."""
+        self._short, self._prefix_min, self._suffix_min, self._block_table = _rmq_tables(lcp)
 
     def _index_lce(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """LCE of each pair of distinct offsets from their group ids; builds
@@ -288,12 +382,7 @@ class LceIndex:
 
         A pair in one group shares its last-round prefix, at least ``cap``
         long, and gets ``cap``. A pair in two groups gets the range minimum
-        of the boundary LCP array over the boundaries between them. Every
-        pair takes the block answer in one pass: the suffix minimum of the
-        first block, the prefix minimum of the last, and, where whole
-        blocks lie between, their minimum. Pairs whose range fits in one
-        block width, one group's pairs among them, then take the short
-        table's answer or ``cap`` instead.
+        of the boundary LCP array over the boundaries between them.
         """
         if self.suffix_order.size == 0:
             self._build()
@@ -302,17 +391,8 @@ class LceIndex:
         lo = np.minimum(ra, rb)
         lo += 1
         hi = np.maximum(ra, rb, out=ra)
-        # a pair in one group has lo = hi + 1, which may be one past the
-        # last boundary: clipped here, it is answered below
-        out = np.minimum(self._suffix_min.take(lo, mode="clip"), self._prefix_min[hi])
-        first = (lo >> _BLOCK_BITS) + 1
-        last = (hi >> _BLOCK_BITS) - 1
-        inner = first <= last
-        np.minimum(out, _range_min(self._block_table, first, last), out=out, where=inner)
-        short = np.flatnonzero(hi - lo < _BLOCK)
-        lo, hi = lo[short], hi[short]
-        out[short] = np.where(lo <= hi, _range_min(self._short, lo, hi), self.cap)
-        return out
+        tables = self._short, self._prefix_min, self._suffix_min, self._block_table
+        return _block_range_min(tables, lo, hi, self.cap)
 
     def _compare(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Codes the words at offsets ``i`` and ``j`` share before their

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import degmatch.lce as lce
-from degmatch.lce import LceIndex, _lcp_array, _suffix_array
+from degmatch.lce import LceIndex, _suffix_array
 
 
 def naive_lce(seq, i, j):
@@ -97,12 +98,11 @@ def test_arrays_match_naive_suffix_sort(seq):
     for offset, shift in ((0, 3), (256, 4), (65_536, 5)):
         idx = exact_index([offset + r for r in seq])
         assert idx._shift == shift
-        suffix_order, levels, boundaries = _suffix_array(idx._words, idx._shift, cap=len(seq))
-        rank = levels.pop()  # capped at the length, the last round's names are all distinct
+        # capped at the length, the last round's names are all distinct, so
+        # every suffix is a group of its own and every adjacent pair a boundary
+        suffix_order, rank, got = _suffix_array(idx._words, idx._shift, cap=len(seq))
         assert suffix_order.tolist() == order
         assert rank.tolist() == naive_rank
-        assert boundaries.tolist() == list(range(len(seq) - 1))
-        got = _lcp_array(suffix_order, boundaries, levels, idx._words, idx._shift)
         assert got.tolist() == lcp
 
 
@@ -383,13 +383,73 @@ def test_lcp_array_at_group_boundaries(seq, cap):
     # on a capped order, entry g is the LCE of the last suffix of group
     # g - 1 and the first suffix of group g
     idx = LceIndex(seq, cap)
-    order, levels, boundaries = _suffix_array(idx._words, idx._shift, cap)
-    sorted_names = levels.pop()[order].tolist()
+    order, rank, lcp = _suffix_array(idx._words, idx._shift, cap)
+    sorted_names = rank[order].tolist()
     groups = max(sorted_names) + 1
     assert sorted_names == sorted(sorted_names)  # each group is one run
     firsts = [sorted_names.index(g) for g in range(groups)]
-    assert boundaries.tolist() == [first - 1 for first in firsts[1:]]
     expected = [0] + [
         naive_lce(seq, order[first - 1], order[first]) for first in firsts[1:]
     ]
-    assert _lcp_array(order, boundaries, levels, idx._words, idx._shift).tolist() == expected
+    assert lcp.tolist() == expected
+
+
+def naive_groups(seq, h):
+    """Group id of every suffix of ``seq`` by its h-prefix: the rank of
+    that prefix among the distinct ones."""
+    prefixes = [tuple(seq[p : p + h]) for p in range(len(seq))]
+    ids = {prefix: g for g, prefix in enumerate(sorted(set(prefixes)))}
+    return [ids[prefix] for prefix in prefixes]
+
+
+@given(periodic_sequences(), st.integers(1, 300), st.sampled_from([1, 2, 3, 1 << 14]))
+@settings(max_examples=200, deadline=None)
+def test_capped_build_matches_naive_sort(seq, cap, chunk):
+    # the last round names prefixes of the first length h = w * 2^d >= cap;
+    # a build that stops early, its names all distinct, groups the
+    # suffixes as those prefixes do too. Small chunks split the boundary
+    # LCP passes.
+    idx = LceIndex(seq, cap)
+    h = 64 >> idx._shift
+    while h < cap:
+        h *= 2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lce, "_CHUNK", chunk)
+        order, rank, lcp = _suffix_array(idx._words, idx._shift, cap)
+    assert rank.tolist() == naive_groups(seq, h)
+    sorted_names = rank[order].tolist()
+    assert sorted_names == sorted(sorted_names)
+    firsts = [0] + [x + 1 for x in range(len(seq) - 1) if sorted_names[x] != sorted_names[x + 1]]
+    expected = [0] + [naive_lce(seq, order[first - 1], order[first]) for first in firsts[1:]]
+    assert lcp.tolist() == expected
+
+
+def build_peak(seq, cap):
+    """``tracemalloc`` peak of one suffix index build, in bytes per symbol."""
+    idx = LceIndex(seq, cap)
+    tracemalloc.start()
+    try:
+        idx._build()
+        return tracemalloc.get_traced_memory()[1] / len(seq)
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_peak_is_flat_in_the_rounds():
+    # period-2 text keeps two groups a round, so cap 8,192 runs 11 rounds
+    # against 4 at cap 64; a build that kept every round's int32 names
+    # would peak 28 bytes per symbol higher
+    length = (1 << 16) + 1
+    seq = np.append(np.tile([0, 1], length // 2), 2)
+    few, many = build_peak(seq, 64), build_peak(seq, 8_192)
+    assert abs(many - few) < 2, (few, many)
+
+
+def test_build_peak_on_random_text():
+    # every capped prefix of random DNA is distinct, so the boundary LCPs
+    # and their range-minimum tables hold one entry per symbol; a build
+    # that kept its rounds, with an int64 boundary array, peaked at 60
+    # bytes per symbol on this input
+    length = (1 << 16) + 1
+    seq = np.append(np.random.default_rng(64).integers(0, 4, length - 1), 4)
+    assert build_peak(seq, 64) <= 60

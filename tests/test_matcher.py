@@ -363,16 +363,20 @@ def _block_cases():
 @pytest.fixture
 def suffix_sorts(monkeypatch):
     """The doubling rounds of every suffix sort an LCE index runs in the
-    test."""
+    test: each round updates the boundary LCPs once."""
     calls = []
-    sort = lce._suffix_array
+    sort, update = lce._suffix_array, lce._lcp_array
 
     def recording_sort(*args):
-        order, levels, boundaries = sort(*args)
-        calls.append(len(levels))
-        return order, levels, boundaries
+        calls.append(0)
+        return sort(*args)
+
+    def recording_update(*args):
+        calls[-1] += 1
+        return update(*args)
 
     monkeypatch.setattr(lce, "_suffix_array", recording_sort)
+    monkeypatch.setattr(lce, "_lcp_array", recording_update)
     return calls
 
 
