@@ -15,18 +15,21 @@ first time a pair needs it. One prefix-doubling pass (a stable numpy
 sort per round) names every suffix's h-prefix, the
 Karp-Miller-Rosenberg names of Manber and Myers: equal names mean equal
 prefixes. The first round sorts the words themselves, read in code
-order, and names prefixes one word long; each later round doubles h.
-Doubling stops once the names are all distinct, or once the prefixes
-reach ``cap``. The last round orders the suffixes, and its names split
-that order into groups of suffixes with one shared h-prefix; on
-repetitive text there are far fewer groups than suffixes. A suffix's
-group id is its last-round name. The LCP of each pair of adjacent
-groups is carried from round to round, as in Manber and Myers: a
-boundary that a round adds inside an old group, at suffixes s and t,
-gets h plus the LCP of s + h and t + h, from one word comparison or, past
-one word, from a range minimum over the previous round's boundary LCPs.
-The build keeps no earlier round, so it needs O(L) memory whatever the
-number of rounds. A block-decomposed
+order, and names prefixes one word long. Each later round packs as many
+names, h apart, into one int64 key as their bit width allows, r of
+them, and multiplies h by r, so few names make few rounds. Rounds stop
+once the names are all distinct, or once the prefixes reach ``cap``.
+The last round orders the suffixes, and its names split that order
+into groups of suffixes with one shared h-prefix; on repetitive text
+there are far fewer groups than suffixes. A suffix's group id is its
+last-round name. The LCP of each pair of adjacent groups is carried
+from round to round, as in Manber and Myers: a boundary that a round
+adds inside an old group, at suffixes s and t whose keys first differ
+in the name d * h further on, gets d * h plus the LCP of s + d * h and
+t + d * h, from one word comparison or, past one word, from a range
+minimum over the previous round's boundary LCPs. The build keeps no
+earlier round, so it needs O(L) memory whatever the number of rounds.
+A block-decomposed
 sparse table answers range-minimum queries over these boundary LCPs:
 per-block prefix/suffix minima plus a sparse table over block minima
 keep the hot query structures small enough to stay cache-resident at
@@ -42,29 +45,36 @@ import numpy as np
 
 #: Group boundaries that ``_lcp_array`` handles in one pass, so that its
 #: temporaries stay bounded however many boundaries a round has.
-_CHUNK = 1 << 14
-
-_LOW_NAME = (1 << 32) - 1
+_CHUNK = 1 << 12
 
 
 def _suffix_array(
     words: np.ndarray, shift: int, cap: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Suffix order by prefix doubling, each suffix's group id, and the LCP
-    at each group boundary of the order.
+    """Suffix order by r-ary prefix doubling, each suffix's group id, and
+    the LCP at each group boundary of the order.
 
     ``words`` and ``shift`` are those of ``LceIndex``: the word at every
     offset, holding the next w = 64 >> ``shift`` codes, which equal the
     ranks. Each code is stored big-endian, so a byte-swapped word reads
     its codes in order, most significant first, and sorting the swapped
-    words orders their w-prefixes lexicographically. Each later round
-    sorts on (name, name h further on) of the h-prefixes, with the keys
-    built in the previous round's order, so the stable sort only has to
-    order the runs of equal names, and doubles h. Doubling stops once every
-    name is distinct or once the named prefixes are at least ``cap`` long;
-    the order then sorts the suffixes by those prefixes, with ties in no
-    particular order. A cap of the length stops nothing early: such
-    prefixes hold the separator.
+    words orders their w-prefixes lexicographically: round 0 names the
+    w-prefixes. A later round with G names of the h-prefixes packs r of
+    them into each int64 key, b = max(1, bit_length(G - 1)) bits each:
+    the suffix's own name, then the names h, 2h, ..., (r - 1)h further on,
+    with r = max(2, min(63 // b, ceil(cap / h))). Sorting the keys names
+    the rh-prefixes, and h becomes rh. The keys are gathered into the
+    previous round's order, so the stable sort only has to order the runs
+    of equal names. Rounds stop once every name is distinct or once the
+    named prefixes are at least ``cap`` long; the order then sorts the
+    suffixes by those prefixes, with ties in no particular order. A cap of
+    the length stops nothing early: such prefixes hold the separator.
+
+    Few names make wide keys: on a tandem-repeat record of 2^17 symbols
+    capped at about a thousand, 35 names of 8-prefixes pack 10 to a key
+    and about 320 names of 80-prefixes pack 7, so 4 rounds name 8-, 80-,
+    560- and capped prefixes where steps of 2 took 9. Random DNA of 2^19
+    symbols capped at 64 takes 2 rounds where steps of 2 took 3.
 
     The last round's names split the order into groups, runs of equal
     names; ``rank[p]`` is the name of the suffix at ``p``, so group g holds
@@ -82,35 +92,44 @@ def _suffix_array(
     sorted_names = np.zeros(length, dtype=np.int32)
     np.cumsum(changed, out=sorted_names[1:])
     # round 0 splits one group, every suffix's empty prefix, on the names of
-    # the w-prefixes
+    # the w-prefixes: keys of two 32-bit fields, the first 0
     keys = keys.view(np.int64)
     np.copyto(keys, sorted_names)
     lcp = np.zeros(1, dtype=np.int32)
-    h = 0
+    h, fields, bits = 0, 2, 32
     # the rounds write into the same buffers: fresh arrays every round
     # tripled the build's page faults on a tandem-repeat record and made a
     # search up to a tenth slower
     spare = None  # the keys' second buffer, from the first doubling round on
     while True:
-        lcp = _lcp_array(lcp, keys, changed, sorted_names, order, h, words, shift)
-        h = 2 * h or 64 >> shift
+        lcp = _lcp_array(lcp, keys, changed, sorted_names, order, h, fields, bits, words, shift)
+        h = h * fields or 64 >> shift
         names = np.empty(length, dtype=np.int32)
         names[order] = sorted_names
         if lcp.size == length or h >= cap:
             return order, names, lcp
-        np.copyto(keys, sorted_names)
-        keys <<= 32
-        # a suffix whose h-prefix holds the unique separator already has a
-        # name of its own, so clipping its second key changes no order
-        np.add(order, h, out=sorted_names)
-        keys |= names.take(sorted_names, mode="clip")
-        del names
-        step = np.argsort(keys, kind="stable")
+        bits = max(1, (lcp.size - 1).bit_length())
+        fields = max(2, min(63 // bits, -(-cap // h)))
+        # the keys in position order, one field at a time; a field past the
+        # end stays 0, which changes no order: the field before it holds
+        # the unique separator, so no other suffix shares it
+        np.copyto(keys, names)
+        for field in range(1, fields):
+            keys <<= bits
+            ahead = names[field * h :]
+            np.bitwise_or(keys[: ahead.size], ahead, out=keys[: ahead.size])
+        del names, ahead
         if spare is None:
             spare = np.empty_like(keys)
-        np.take(keys, step, out=spare)
+        # every index is in bounds; with ``out``, the default mode "raise"
+        # would gather through a temporary copy of the whole output, which
+        # tripled the page faults of a tandem-repeat search
+        np.take(keys, order, out=spare, mode="clip")
         keys, spare = spare, keys
-        np.take(order, step, out=sorted_names)
+        step = np.argsort(keys, kind="stable")
+        np.take(keys, step, out=spare, mode="clip")
+        keys, spare = spare, keys
+        np.take(order, step, out=sorted_names, mode="clip")
         order, sorted_names = sorted_names, order
         del step
         np.not_equal(keys[1:], keys[:-1], out=changed)
@@ -125,35 +144,42 @@ def _lcp_array(
     sorted_names: np.ndarray,
     order: np.ndarray,
     h: int,
+    fields: int,
+    bits: int,
     words: np.ndarray,
     shift: int,
 ) -> np.ndarray:
     """The LCP at each group boundary of one doubling round, from those of
-    the round before: the LCP-during-sorting step of Manber and Myers.
+    the round before: the LCP-during-sorting step of Manber and Myers,
+    for keys of any number of fields.
 
     The round before grouped the suffixes by their h-prefixes, with
     ``lcp`` the LCP at each of its group boundaries, every one below h.
-    ``order`` is now sorted on ``keys``, ``keys[x]`` = (a << 32) | b for
-    the round-h names a of the suffix at ``order[x]`` and b of the one h
-    further on, so each old group keeps its run of positions in the order.
+    ``order`` is now sorted on ``keys``: ``keys[x]`` holds ``fields``
+    fields of ``bits`` bits, most significant first, and field f is the
+    round-h name of the suffix f * h past the one at ``order[x]``, so each
+    old group, named by field 0, keeps its run of positions in the order.
     ``changed[x]`` marks a new boundary between x and x + 1, and
     ``sorted_names`` numbers the new groups along the order.
 
     - A boundary between two old groups keeps its old entry: every suffix
       of one shares the same prefix with every suffix of the other.
-    - A boundary inside an old group, at suffixes s and t, gets
-      h + LCP(s + h, t + h). One comparison of the words at s + h and
-      t + h gives that LCP below w = 64 >> ``shift``. Where the words
-      match in full, it is the minimum of ``lcp`` over the old boundaries
-      between the names b of s + h and t + h; the block range-minimum
-      tables over ``lcp``, built the first time one is needed, answer those.
+    - A boundary inside an old group, at suffixes s and t whose keys first
+      differ in field d, gets d * h + LCP(s + d * h, t + d * h). One
+      comparison of the words there gives that LCP below
+      w = 64 >> ``shift``. Where the words match in full, it is the minimum
+      of ``lcp`` over the old boundaries between the two field-d names;
+      the block range-minimum tables over ``lcp``, built the first time
+      one is needed, answer those.
 
-    Round 0 passes h = 0, ``lcp`` = [0] and the names of the w-prefixes as
-    ``keys``: it splits one group, and its words never match in full. Each
-    pass takes the boundaries before ``_CHUNK`` new groups, so that the
-    temporaries stay O(``_CHUNK``).
+    Round 0 passes h = 0, ``lcp`` = [0] and two 32-bit fields, 0 and the
+    name of the w-prefix: it splits one group, and its words never match
+    in full. Each pass takes the boundaries before ``_CHUNK`` new groups,
+    so that the temporaries stay O(``_CHUNK``).
     """
     width = 64 >> shift
+    top = (fields - 1) * bits
+    mask = (1 << bits) - 1
     groups = int(sorted_names[-1]) + 1
     out = np.empty(groups, dtype=np.int32)
     out[0] = 0
@@ -165,25 +191,51 @@ def _lcp_array(
         x = np.flatnonzero(changed[lo - 1 : hi - 1])
         x += lo - 1
         left, right = keys[x], keys[x + 1]
-        old = right >> 32
+        old = right >> top
         entry = lcp.take(old)
-        split = np.flatnonzero(left >> 32 == old)
+        split = np.flatnonzero(left >> top == old)
+        # the temporaries of a pass set the build's peak at small L
+        del old
         if split.size:
-            x = x[split]
-            q = _leading_codes(words[order[x] + h] ^ words[order[x + 1] + h], shift)
+            x, left, right = x[split], left[split], right[split]
+            # the lowest bit of field d: the first differing field holds
+            # the highest set bit of left ^ right
+            low = _top_bit(left ^ right)
+            low -= low % bits
+            skip = top - low
+            skip //= bits
+            skip *= h
+            q = words[order[x] + skip]
+            q ^= words[order[x + 1] + skip]
+            del x
+            q = _leading_codes(q, shift)
             full = np.flatnonzero(q == width)
             if full.size:
-                pairs = split[full]
-                lo_name = left[pairs] & _LOW_NAME
+                low = low[full]
+                lo_name = left[full] >> low
+                lo_name &= mask
                 lo_name += 1
-                hi_name = right[pairs] & _LOW_NAME
+                hi_name = right[full] >> low
+                hi_name &= mask
+                del left, right, low
                 if tables is None:
                     tables = _rmq_tables(lcp)
                 q[full] = _block_range_min(tables, lo_name, hi_name, 0)
-            q += h
+            q += skip
             entry[split] = q
         out[group : group + entry.size] = entry
     return out
+
+
+def _top_bit(x: np.ndarray) -> np.ndarray:
+    """floor(log2(x)) of each positive int64: the exponent field of x as a
+    float, less one where rounding to 53 bits carried x up to the next
+    power of two."""
+    bit = x.astype(np.float64).view(np.int64)
+    bit >>= 52
+    bit -= 1023
+    bit -= (x >> bit) == 0
+    return bit
 
 
 def _sparse_table(values: np.ndarray, levels: int) -> np.ndarray:
@@ -263,13 +315,17 @@ def _rmq_tables(values: np.ndarray) -> tuple[np.ndarray, ...]:
     length = values.size
     short = _sparse_table(values, min(_BLOCK_BITS + 1, max(1, length.bit_length())))
     blocks = (length + _BLOCK - 1) >> _BLOCK_BITS
-    padded = np.full(blocks << _BLOCK_BITS, np.iinfo(np.int32).max, dtype=np.int32)
-    padded[:length] = values
-    grid = padded.reshape(blocks, _BLOCK)
-    prefix_min = np.minimum.accumulate(grid, axis=1).reshape(-1)[:length]
-    suffix_min = np.minimum.accumulate(grid[:, ::-1], axis=1)[:, ::-1].reshape(-1)[:length]
-    block_table = _sparse_table(grid.min(axis=1), max(1, int(blocks).bit_length()))
-    return short, prefix_min, suffix_min, block_table
+    prefix_min = np.full(blocks << _BLOCK_BITS, np.iinfo(np.int32).max, dtype=np.int32)
+    prefix_min[:length] = values
+    grid = prefix_min.reshape(blocks, _BLOCK)
+    # both minima accumulate into their own buffers, the suffix minima
+    # through a reversed view, so neither takes a temporary copy
+    suffix_min = np.empty_like(prefix_min)
+    np.minimum.accumulate(grid[:, ::-1], axis=1, out=suffix_min.reshape(blocks, _BLOCK)[:, ::-1])
+    np.minimum.accumulate(grid, axis=1, out=grid)
+    # a block's last prefix minimum is its minimum
+    block_table = _sparse_table(grid[:, -1], max(1, int(blocks).bit_length()))
+    return short, prefix_min[:length], suffix_min[:length], block_table
 
 
 def _block_range_min(
@@ -330,9 +386,10 @@ class LceIndex:
     tables are O(D). D = L when the capped prefixes are all distinct, as
     on random text or at a cap of the length. The build holds only the
     current doubling round's names and boundary LCPs, so its memory is
-    O(L) whatever the number of rounds: its ``tracemalloc`` peak is about
-    41 bytes per symbol on repetitive text and 52 on random text, where
-    D = L.
+    O(L) whatever the number of rounds: at L = 2^19 + 1 its
+    ``tracemalloc`` peak is about 33 bytes per symbol on repetitive text,
+    where the sort sets it, and 46 on random text, where D = L and the
+    range-minimum tables set it.
     """
 
     __slots__ = (

@@ -43,8 +43,9 @@ on random text usually does not. Those are the suffix order and each
 suffix's group id, O(n + m), and the boundary LCPs and range-minimum
 tables, O(D) for the D groups of suffixes that share their capped
 prefix, far fewer than n + m on repetitive text; while it builds them
-the index holds only the current doubling round's names and boundary
-LCPs, so the build is O(n + m) too. ``search`` runs stages 2 and 3 on one
+the index holds only the current prefix-doubling round's names, keys
+and boundary LCPs, however many names a round packs into a key, so the
+build is O(n + m) too. ``search`` runs stages 2 and 3 on one
 block of consecutive alignments at a time, so its mismatch table holds
 at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
 single alignment's budget is wider than that; the block's round

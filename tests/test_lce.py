@@ -295,6 +295,17 @@ def test_leading_bytes_every_lowest_set_bit():
         assert lce._leading_codes(words, shift).tolist() == [per_word, 0, per_word - 1, 0]
 
 
+def test_top_bit_every_highest_set_bit():
+    # from 54 bits on, a float rounds all ones below the top bit up to the
+    # next power of two; the field a boundary's keys first differ in
+    # depends on the exact top bit
+    rng = np.random.default_rng(63)
+    for t in range(63):
+        low = rng.integers(0, 2**63, size=16, dtype=np.int64) & ((1 << t) - 1)
+        x = np.concatenate([low | (1 << t), [1 << t, (2 << t) - 1]]).astype(np.int64)
+        assert lce._top_bit(x).tolist() == [t] * x.size
+
+
 def test_range_min_every_span():
     # every (lo, hi) with lo <= hi at every length up to 300, so every
     # power-of-two width and every width just below one is read
@@ -402,17 +413,30 @@ def naive_groups(seq, h):
     return [ids[prefix] for prefix in prefixes]
 
 
+def last_round_prefix(seq, cap, width):
+    """The prefix length h that the last round of a build capped at
+    ``cap`` names: round 0 names the ``width``-prefixes, and a round with
+    G names packs r = max(2, min(63 // b, ceil(cap / h))) of them, of
+    b = max(1, bit_length(G - 1)) bits each, into a key and names the
+    rh-prefixes. Rounds stop once the names are all distinct or h >= cap."""
+    h = width
+    groups = max(naive_groups(seq, h)) + 1
+    while h < cap and groups < len(seq):
+        bits = max(1, (groups - 1).bit_length())
+        h *= max(2, min(63 // bits, -(-cap // h)))
+        groups = max(naive_groups(seq, h)) + 1
+    return h
+
+
 @given(periodic_sequences(), st.integers(1, 300), st.sampled_from([1, 2, 3, 1 << 14]))
 @settings(max_examples=200, deadline=None)
 def test_capped_build_matches_naive_sort(seq, cap, chunk):
-    # the last round names prefixes of the first length h = w * 2^d >= cap;
-    # a build that stops early, its names all distinct, groups the
-    # suffixes as those prefixes do too. Small chunks split the boundary
-    # LCP passes.
+    # the last round names the prefixes of the length h that the r-ary
+    # rule reaches, worked out here from the naive group counts; a build
+    # that stops early, its names all distinct, groups the suffixes as
+    # those prefixes do too. Small chunks split the boundary LCP passes.
     idx = LceIndex(seq, cap)
-    h = 64 >> idx._shift
-    while h < cap:
-        h *= 2
+    h = last_round_prefix(seq, cap, 64 >> idx._shift)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lce, "_CHUNK", chunk)
         order, rank, lcp = _suffix_array(idx._words, idx._shift, cap)
@@ -422,6 +446,97 @@ def test_capped_build_matches_naive_sort(seq, cap, chunk):
     firsts = [0] + [x + 1 for x in range(len(seq) - 1) if sorted_names[x] != sorted_names[x + 1]]
     expected = [0] + [naive_lce(seq, order[first - 1], order[first]) for first in firsts[1:]]
     assert lcp.tolist() == expected
+
+
+@pytest.fixture
+def key_layouts(monkeypatch):
+    """(fields, bits) of every round's keys in the test."""
+    layouts = []
+    update = lce._lcp_array
+
+    def recording_update(lcp, keys, changed, sorted_names, order, h, fields, bits, *rest):
+        layouts.append((fields, bits))
+        return update(lcp, keys, changed, sorted_names, order, h, fields, bits, *rest)
+
+    monkeypatch.setattr(lce, "_lcp_array", recording_update)
+    return layouts
+
+
+KEY_LAYOUT_CASES = {
+    # with 1-byte codes, 9 or 10 names after round 0 take 4 bits and pack
+    # 15 to a key, then 121 or 122 names take 7 bits and pack 9: 63 bits
+    "sigma-1": [0] * 1_999 + [1],
+    "period-2": [0, 1] * 1_000 + [2],
+    "period-3-changed": changed_period_3(1_500, 19),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 14])
+@pytest.mark.parametrize("offset,shift", [(0, 3), (256, 4), (65_536, 5)])
+@pytest.mark.parametrize("name", KEY_LAYOUT_CASES)
+def test_wide_keys_answer_every_pair(key_layouts, name, offset, shift, chunk):
+    # capped at the length, repetitive text keeps few names a round, so
+    # its keys pack many fields, up to all 63 bits; every pair of offsets
+    # gets its exact LCE from the index, with 1-, 2- and 4-byte codes and
+    # with one boundary a pass
+    seq = [offset + r for r in KEY_LAYOUT_CASES[name]]
+    idx = exact_index(seq)
+    assert idx._shift == shift
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lce, "_CHUNK", chunk)
+        idx._build()
+    widths = [fields * bits for fields, bits in key_layouts[1:]]
+    assert max(fields for fields, _ in key_layouts) >= 12
+    assert max(widths) >= 60
+    if name != "period-3-changed" and shift < 5:
+        assert 63 in widths
+    ii, jj = all_pairs(len(seq))
+    assert np.array_equal(idx._index_lce(ii, jj), lce_matrix(seq)[ii, jj])
+
+
+def test_random_text_packs_three_names_a_key(key_layouts):
+    # about 2^15 distinct 8-prefixes take 16 bits each, so the first
+    # doubling round packs 3 and names 24-prefixes, all distinct here.
+    # Adjacent suffixes in the order have their naive LCP and then a
+    # smaller symbol, so the order is the suffix array; sampled pairs
+    # get their naive LCE
+    length = 1 << 16
+    seq = np.append(np.random.default_rng(16).integers(0, 4, length - 1), 4)
+    idx = exact_index(seq)
+    ii = np.random.default_rng(17).integers(0, length, (2, 20_000))
+    ii = ii[:, ii[0] != ii[1]]
+    got = idx._index_lce(ii[0], ii[1])
+    assert key_layouts == [(2, 32), (3, 16)]
+    order, lcp = idx.suffix_order.astype(np.int64), idx.lcp
+    assert lcp.size == length
+    for pairs, answer in (((order[:-1], order[1:]), lcp[1:]), (tuple(ii), got)):
+        expected = np.zeros(pairs[0].size, dtype=np.int64)
+        going = np.ones(pairs[0].size, dtype=bool)
+        while going.any():
+            a, b = pairs[0] + expected, pairs[1] + expected
+            going &= np.maximum(a, b) < length
+            going[going] = seq[a[going]] == seq[b[going]]
+            expected += going
+        assert np.array_equal(answer, expected)
+    assert np.all(seq[order[:-1] + lcp[1:]] < seq[order[1:] + lcp[1:]])
+
+
+def test_period_3_text_builds_in_few_rounds(key_layouts):
+    # with 3 changed symbols, 27 names after round 0 pack 12 to a key and
+    # 291 pack 7: 4 rounds name 8-, 96-, 672- and 1,344-prefixes, where
+    # steps of 2 took 8 rounds
+    length = 1 << 17
+    seq = changed_period_3(length, 3)
+    idx = LceIndex(seq, 1_000)
+    idx._build()
+    assert len(key_layouts) <= 4
+    # the LCE of i and i + 3 runs to the first p >= i with
+    # seq[p] != seq[p + 3]
+    arr = np.asarray(seq)
+    breaks = np.flatnonzero(arr[:-3] != arr[3:])
+    ii = np.arange(0, length - 3, 997)
+    expected = breaks[np.searchsorted(breaks, ii)] - ii
+    assert_capped(expected, idx._index_lce(ii, ii + 3), 1_000)
 
 
 def build_peak(seq, cap):
@@ -435,21 +550,25 @@ def build_peak(seq, cap):
         tracemalloc.stop()
 
 
-def test_build_peak_is_flat_in_the_rounds():
-    # period-2 text keeps two groups a round, so cap 8,192 runs 11 rounds
-    # against 4 at cap 64; a build that kept every round's int32 names
-    # would peak 28 bytes per symbol higher
+def test_build_peak_is_flat_in_the_rounds(key_layouts):
+    # period-2 text keeps few names a round, so cap 8,192 runs 5 rounds
+    # against 2 at cap 64; a build that kept every round's int32 names
+    # would peak 12 bytes per symbol higher
     length = (1 << 16) + 1
     seq = np.append(np.tile([0, 1], length // 2), 2)
-    few, many = build_peak(seq, 64), build_peak(seq, 8_192)
+    few = build_peak(seq, 64)
+    assert len(key_layouts) == 2
+    many = build_peak(seq, 8_192)
+    assert len(key_layouts) == 2 + 5
     assert abs(many - few) < 2, (few, many)
 
 
 def test_build_peak_on_random_text():
     # every capped prefix of random DNA is distinct, so the boundary LCPs
-    # and their range-minimum tables hold one entry per symbol; a build
-    # that kept its rounds, with an int64 boundary array, peaked at 60
-    # bytes per symbol on this input
+    # and their range-minimum tables hold one entry per symbol; this input
+    # peaked at 60 bytes per symbol in a build that kept its rounds, with
+    # an int64 boundary array, and at 52 while the range-minimum tables
+    # took temporary copies of the prefix and suffix minima
     length = (1 << 16) + 1
     seq = np.append(np.random.default_rng(64).integers(0, 4, length - 1), 4)
-    assert build_peak(seq, 64) <= 60
+    assert build_peak(seq, 64) <= 46.6

@@ -488,9 +488,10 @@ class TestOnDemandIndex:
         pattern, text = parse_iupac("".join(raw_pattern)), parse_iupac("ACG" * 2_000)
         for searches in (1, 2):
             report = find_occurrences(pattern, text)
-            # the longest solid run is 139, so the words seed 8-prefixes
-            # and doubling runs h = 8, 16, ..., 256
-            assert suffix_sorts == [6] * searches
+            # the longest solid run is 139, so the words seed 8-prefixes;
+            # their 19 names pack 12 to a key, naming 96-prefixes, and 195
+            # names pack 2, naming 192-prefixes
+            assert suffix_sorts == [3] * searches
             assert report.exact_occurrences == tuple(range(1, 6_000 - 240 + 2, 3))
             assert list(report.exact_occurrences) == naive_match(pattern, text)
             assert report.lce_queries == sum(b + 1 for b in window_budgets(pattern, text))
@@ -527,10 +528,19 @@ class TestOnDemandIndex:
         report = find_occurrences(pattern, text)
         _assert_in_phase_report(pattern, text, report)
         assert prepare(pattern, text)._shift == 4
-        # the words seed 4-prefixes, and doubling runs up to the first h >= R
-        rounds, h = 1, 4
-        while h < run:
-            rounds, h = rounds + 1, 2 * h
+        # the words seed 4-prefixes; a round with G names packs
+        # r = max(2, min(63 // b, ceil(R / h))) names of b = bit_length(G - 1)
+        # bits into a key, until h >= R or the names are all distinct
+        seq = prepare(pattern, text).seq.tolist()
+
+        def prefixes(h):
+            return len({tuple(seq[p : p + h]) for p in range(len(seq))})
+
+        rounds, h, groups = 1, 4, prefixes(4)
+        while h < run and groups < len(seq):
+            bits = max(1, (groups - 1).bit_length())
+            h *= max(2, min(63 // bits, -(-run // h)))
+            rounds, groups = rounds + 1, prefixes(h)
         assert suffix_sorts == [rounds]
 
 
