@@ -124,15 +124,15 @@ def _load_text_records(args: argparse.Namespace, stdin) -> list[tuple[str | None
 
 
 def _emit(record_id, report, pattern_length, fmt, diagnostics, out) -> None:
-    positions = report.exact_occurrences
+    positions = report.exact_occurrences.tolist()
     if fmt == "positions":
-        if positions:
-            prefix = f"{record_id}:" if record_id is not None else ""
-            out.write(prefix + f"\n{prefix}".join(map(str, positions)) + "\n")
+        prefix = f"{record_id}:" if record_id is not None else ""
+        # one %-format pass per record; a '%' in the id is escaped
+        out.write((prefix.replace("%", "%%") + "%d\n") * len(positions) % tuple(positions))
         return
     verdict_of = {}
     if diagnostics and report.verdicts is not None:
-        verdict_of = dict(zip(report.approximate_occurrences, report.verdicts))
+        verdict_of = dict(zip(report.approximate_occurrences.tolist(), report.verdicts))
     lines = []
     for pos in positions:
         if fmt == "tsv":
@@ -191,14 +191,15 @@ def run(argv=None, out=None, err=None, stdin=None) -> int:
         report = find_occurrences(pattern, text, diagnostics=args.diagnostics)
         if args.self_check:
             expected = naive_match(pattern, text)
-            if list(report.exact_occurrences) != expected:
+            got = report.exact_occurrences.tolist()
+            if got != expected:
                 err.write(
                     f"degmatch: self-check failed for record {rid or '-'!r}: "
-                    f"matcher={list(report.exact_occurrences)} oracle={expected}\n"
+                    f"matcher={got} oracle={expected}\n"
                 )
                 return 3
         _emit(rid, report, len(pattern), args.fmt, args.diagnostics, out)
-        found = found or bool(report.exact_occurrences)
+        found = found or report.exact_occurrences.size > 0
     return 0 if found else 1
 
 

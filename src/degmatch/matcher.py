@@ -52,7 +52,9 @@ single alignment's budget is wider than that; the block's round
 temporaries are O(block rows). The per-window budgets (one int32 per
 alignment, a zero-stride view that allocates nothing on a solid text)
 and the membership rows, one per base symbol and per distinct set of
-each string, are built once per search.
+each string, are built once per search. The report holds its positions
+as two int64 arrays, 8 bytes per approximate alignment and 8 per exact
+occurrence: 16 bytes per occurrence when every alignment matches.
 """
 
 from dataclasses import dataclass
@@ -160,7 +162,7 @@ def kangaroo_search(
     index: LceIndex,
     alignments: range | None = None,
     budgets: np.ndarray | None = None,
-) -> tuple[MismatchTable, tuple[int, ...]]:
+) -> tuple[MismatchTable, np.ndarray]:
     """Scan a range of alignments, all of them by default, jumping past
     each mismatch with one LCE query.
 
@@ -190,7 +192,8 @@ def kangaroo_search(
     budget k; on a solid text every b_i is k_pattern and it never runs.
     At most sum of (b_i + 1) queries over the range, and at most
     (k_total + 1)(n - m + 1) in total, each O(1) amortized. Returns the
-    range's table and its approximate alignments.
+    range's table and its approximate alignments, 0-based, as an
+    increasing int64 array.
     """
     m, n = len(pattern), len(text)
     sentinel = m + 1
@@ -238,14 +241,20 @@ def kangaroo_search(
     cells = budgets * count + np.arange(count)  # cell (b_i, i) of the flat table
     approx = np.flatnonzero(entries.take(cells) == sentinel) + lo
     table = MismatchTable(entries=entries.T, m=m, budget=k, query_count=queries, first=lo)
-    return table, tuple(approx.tolist())
+    return table, approx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchReport:
     """Occurrence report: exact positions (1-based), the approximate
     alignments they were filtered from (0-based), per-alignment verdicts
     when diagnostics were requested, and the LCE query count.
+
+    ``exact_occurrences`` and ``approximate_occurrences`` are increasing,
+    read-only int64 arrays, 8 bytes per position; ``tolist()`` gives
+    Python ints. Two reports are equal when both arrays hold the same
+    positions and the verdicts and query counts are equal, and equal
+    reports hash alike.
 
     ``verdicts[j]`` belongs to ``approximate_occurrences[j]`` and holds
     one verdict per recorded mismatch, in pattern order. On a solid text
@@ -256,17 +265,36 @@ class MatchReport:
     ``abdacd`` gives ``(fake,)``.
     """
 
-    exact_occurrences: tuple[int, ...]
-    approximate_occurrences: tuple[int, ...]
+    exact_occurrences: np.ndarray
+    approximate_occurrences: np.ndarray
     verdicts: tuple[tuple[str, ...], ...] | None
     lce_queries: int
+
+    def __post_init__(self):
+        self.exact_occurrences.flags.writeable = False
+        self.approximate_occurrences.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, MatchReport)
+            and np.array_equal(self.exact_occurrences, other.exact_occurrences)
+            and np.array_equal(self.approximate_occurrences, other.approximate_occurrences)
+            and self.verdicts == other.verdicts
+            and self.lce_queries == other.lce_queries
+        )
+
+    def __hash__(self) -> int:
+        return hash((
+            self.exact_occurrences.tobytes(), self.approximate_occurrences.tobytes(),
+            self.verdicts, self.lce_queries,
+        ))
 
 
 def filter_occurrences(
     pattern: DegenerateString,
     text: DegenerateString,
     table: MismatchTable,
-    approx: tuple[int, ...],
+    approx: np.ndarray,
     diagnostics: bool = False,
     membership: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MatchReport:
@@ -274,7 +302,9 @@ def filter_occurrences(
     exact iff at every recorded mismatch e the pattern set and the text
     set at i+e intersect (every mismatch is fake).
 
-    Each string's sets are looked up in its own membership rows by its
+    ``approx`` is the table's int64 array of approximate alignments, as
+    ``kangaroo_search`` returns it; the report holds it as it is. Each
+    string's sets are looked up in its own membership rows by its
     own ranks. Rows are bit-packed, so an intersection test is one
     byte-wise AND for any alphabet size. ``membership`` is the pair of
     ``precompute_membership`` rows of the pattern and the text, built
@@ -285,22 +315,24 @@ def filter_occurrences(
     pattern_rows, text_rows = membership
     rows = np.asarray(approx, dtype=np.int64)
     # column b_i of an approximate row is the sentinel, so the last column
-    # never holds a mismatch
+    # never holds a mismatch; on the column-major table this gather beats
+    # ``take`` of whole rows
     mismatches = table.entries[rows - table.first, : table.budget]
     recorded = mismatches != table.sentinel
     offsets = np.where(recorded, mismatches, 1) - 1  # 0-based pattern offsets
     # take along axis 0 gathers the rows faster than 2-D fancy indexing
     shared = pattern_rows.take(pattern.ranks.take(offsets), axis=0)
     shared &= text_rows.take(text.ranks.take(rows[:, None] + offsets), axis=0)
-    fake = shared.any(axis=2) | ~recorded
-    exact = rows[fake.all(axis=1)] + 1
+    real = recorded & ~shared.any(axis=2)
+    # a row with a real cell is no occurrence; ``real`` is budget cells wide
+    exact = np.delete(rows, np.flatnonzero(real) // table.budget) + 1
     verdicts = None
     if diagnostics:
         verdicts = tuple(
-            tuple(FAKE if x else REAL for x in row[mask])
-            for row, mask in zip(fake, recorded)
+            tuple(REAL if x else FAKE for x in row[mask])
+            for row, mask in zip(real, recorded)
         )
-    return MatchReport(tuple(exact.tolist()), tuple(approx), verdicts, table.query_count)
+    return MatchReport(exact, rows, verdicts, table.query_count)
 
 
 # The benchmark's traced run wraps stage 3 under this name as well.
@@ -358,7 +390,8 @@ def search(
     ``BLOCK_CELLS`` cells at the width of its own widest budget, so a
     few dense windows shrink only the blocks around them. On a solid
     text every block but the last has BLOCK_CELLS // (k_pattern + 1)
-    alignments.
+    alignments. The blocks' position arrays are joined with one
+    ``np.concatenate`` per field at the end.
     """
     budgets = window_budgets(pattern, text)
     membership = precompute_membership(pattern), precompute_membership(text)
@@ -371,14 +404,15 @@ def search(
         report = filter_occurrences(
             pattern, text, table, block_approx, diagnostics, membership
         )
-        exact += report.exact_occurrences
-        approx += report.approximate_occurrences
+        exact.append(report.exact_occurrences)
+        approx.append(report.approximate_occurrences)
         if diagnostics:
             verdicts += report.verdicts
         queries += report.lce_queries
         lo = block.stop
     return MatchReport(
-        tuple(exact), tuple(approx), tuple(verdicts) if diagnostics else None, queries
+        np.concatenate(exact), np.concatenate(approx),
+        tuple(verdicts) if diagnostics else None, queries,
     )
 
 
@@ -390,9 +424,9 @@ def find_occurrences(
     """Find all 1-based positions where ``pattern`` occurs in ``text``.
 
     Runs the full substitute / LCE-jump / filter pipeline; a pattern
-    longer than the text yields an empty report. After index construction
-    the search makes at most sum_i (b_i + 1) LCE queries, exactly that
-    many on a solid text, where
+    longer than the text yields an empty report, with empty arrays.
+    After index construction the search makes at most sum_i (b_i + 1)
+    LCE queries, exactly that many on a solid text, where
     b_i = min(m, k_pattern + text placeholders in window i): O(k_pattern * n)
     on a solid text and at most O(k_total * n) on a degenerate one. The
     index compares words of codes and builds its suffix structures,
@@ -400,12 +434,16 @@ def find_occurrences(
     depth of the pattern's longest solid run.
     Memory is the O(n + m) index plus one block's mismatch table of at
     most ``BLOCK_CELLS`` = 2^18 int32 cells (one row when a single
-    budget is wider) and that block's O(rows) round temporaries.
+    budget is wider) and that block's O(rows) round temporaries, and the
+    report's int64 arrays of 8 bytes per exact occurrence and per
+    approximate alignment; ``search`` joins them from its blocks' arrays,
+    so the peak holds both once.
     """
     if len(pattern) == 0:
         raise EmptyPattern("pattern must contain at least one symbol")
     if pattern.alphabet != text.alphabet:
         raise ValueError("pattern and text are over different alphabets")
     if len(pattern) > len(text):
-        return MatchReport((), (), () if diagnostics else None, 0)
+        none = np.empty(0, dtype=np.int64)
+        return MatchReport(none, none, () if diagnostics else None, 0)
     return search(pattern, text, prepare(pattern, text), diagnostics=diagnostics)

@@ -133,7 +133,7 @@ def test_criterion_1_golden_end_to_end():
         _timed_golden_run() for _ in range(3)
     )
     pattern, text = golden_inputs()
-    assert find_occurrences(pattern, text).exact_occurrences == (2, 5)
+    assert find_occurrences(pattern, text).exact_occurrences.tolist() == [2, 5]
     assert best < 0.010, f"end-to-end golden run took {best * 1e3:.2f} ms"
     print(f"criterion 1: PASS - occurrences (2, 5) in {best * 1e3:.2f} ms")
 
@@ -143,7 +143,7 @@ def _timed_golden_run():
     pattern, text = golden_inputs()
     report = find_occurrences(pattern, text)
     elapsed = time.perf_counter() - start
-    assert report.exact_occurrences == (2, 5)
+    assert report.exact_occurrences.tolist() == [2, 5]
     return elapsed
 
 
@@ -159,10 +159,10 @@ def test_criterion_2_mismatch_table_reproduction():
 
 def test_criterion_3_stage_outputs():
     table, approx = golden_stage2()
-    assert approx == (1, 4, 10)
+    assert approx.tolist() == [1, 4, 10]
     pattern, text = golden_inputs()
     report = find_occurrences(pattern, text, diagnostics=True)
-    assert report.approximate_occurrences == (1, 4, 10)
+    assert report.approximate_occurrences.tolist() == [1, 4, 10]
     assert report.verdicts == ((FAKE, FAKE), (FAKE, FAKE), (FAKE, REAL))
     print("criterion 3: PASS - approximate occurrences and verdicts match")
 

@@ -139,6 +139,13 @@ class TestFasta:
         assert main(["-p", "a[bc]da[bd]", "--text-file", str(f)]) == 0
         assert capsys.readouterr().out.splitlines() == ["seq1:2", "seq1:5"]
 
+    def test_record_id_prints_verbatim(self, tmp_path, capsys):
+        # the positions line is %-formatted: a '%' or '{' in the id is text
+        f = tmp_path / "t.fa"
+        f.write_text(">a%d\nDACDABDADCABDAC\n>b{0}%%s\nDACDAB\n")
+        assert main(["-p", "a[bc]da[bd]", "--text-file", str(f)]) == 0
+        assert capsys.readouterr().out == "a%d:2\na%d:5\nb{0}%%s:2\n"
+
     def test_empty_record_warning_on_stderr(self, tmp_path, capsys):
         f = tmp_path / "t.fa"
         f.write_text(">empty\n>seq1\nDACDABDADCABDAC\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -195,7 +196,7 @@ class TestKangarooSearch:
     def test_golden_table(self, golden_pattern, golden_text):
         _, table, approx = pipeline(golden_pattern, golden_text)
         assert table.entries.T.tolist() == GOLDEN_TABLE
-        assert approx == (1, 4, 10)
+        assert approx.tolist() == [1, 4, 10]
 
     def test_golden_column_seven(self, golden_pattern, golden_text):
         _, table, _ = pipeline(golden_pattern, golden_text)
@@ -211,13 +212,13 @@ class TestKangarooSearch:
         text = parse_solid("aaa", abcd)
         _, table, approx = pipeline(pattern, text)
         assert table.entries[:, 0].tolist() == [3, 3]
-        assert approx == (0, 1)
+        assert approx.tolist() == [0, 1]
 
     def test_empty_range_gives_an_empty_table(self, golden_pattern, golden_text):
         index = prepare(golden_pattern, golden_text)
         table, approx = kangaroo_search(golden_pattern, golden_text, index, range(3, 3))
         assert table.entries.shape[0] == table.alignments == 0
-        assert table.query_count == 0 and approx == ()
+        assert table.query_count == 0 and approx.tolist() == []
 
     def test_query_count_exact_for_solid_text(self, golden_pattern, golden_text):
         _, table, _ = pipeline(golden_pattern, golden_text)
@@ -228,9 +229,9 @@ class TestKangarooSearch:
         # of k_pattern = 0 alone would miss the occurrence
         pattern, text = parse_solid("ab", abcd), parse_bracket("a[bc]", abcd)
         _, table, approx = pipeline(pattern, text)
-        assert approx == (0,)
+        assert approx.tolist() == [0]
         assert table.budget == 1
-        assert find_occurrences(pattern, text).exact_occurrences == (1,)
+        assert find_occurrences(pattern, text).exact_occurrences.tolist() == [1]
 
     @pytest.mark.parametrize("family", sorted(ADVERSARIAL))
     def test_adversarial_degenerate_text(self, family):
@@ -492,7 +493,7 @@ class TestOnDemandIndex:
             # their 19 names pack 12 to a key, naming 96-prefixes, and 195
             # names pack 2, naming 192-prefixes
             assert suffix_sorts == [3] * searches
-            assert report.exact_occurrences == tuple(range(1, 6_000 - 240 + 2, 3))
+            assert report.exact_occurrences.tolist() == list(range(1, 6_000 - 240 + 2, 3))
             assert list(report.exact_occurrences) == naive_match(pattern, text)
             assert report.lce_queries == sum(b + 1 for b in window_budgets(pattern, text))
 
@@ -581,8 +582,8 @@ class TestBlocks:
         for (pattern, text), want in zip(cases, expected):
             blocks.append([])
             got = find_occurrences(pattern, text, diagnostics=True)
-            assert got.exact_occurrences == want.exact_occurrences
-            assert got.approximate_occurrences == want.approximate_occurrences
+            assert np.array_equal(got.exact_occurrences, want.exact_occurrences)
+            assert np.array_equal(got.approximate_occurrences, want.approximate_occurrences)
             assert got.verdicts == want.verdicts
             assert got.lce_queries == want.lce_queries
             assert list(got.exact_occurrences) == naive_match(pattern, text)
@@ -657,7 +658,7 @@ def test_every_table_equals_a_naive_kangaroo(monkeypatch, case, cells):
             if len(mismatches) <= b:
                 approximate.append(i)
         assert table.entries.tolist() == columns
-        assert approx == tuple(approximate)
+        assert approx.tolist() == approximate
         assert table.query_count == sum(queries)
         # no alignment retires before round k_pattern: its rows
         # 0..k_pattern - 1 hold a mismatch, never the sentinel
@@ -673,7 +674,7 @@ class TestFilter:
     def test_golden_verdicts(self, golden_pattern, golden_text):
         _, table, approx = pipeline(golden_pattern, golden_text)
         report = filter_occurrences(golden_pattern, golden_text, table, approx, diagnostics=True)
-        assert report.exact_occurrences == (2, 5)
+        assert report.exact_occurrences.tolist() == [2, 5]
         assert report.verdicts == ((FAKE, FAKE), (FAKE, FAKE), (FAKE, REAL))
 
     def test_solid_pattern_everything_exact(self, abcd):
@@ -681,14 +682,14 @@ class TestFilter:
         text = parse_solid("aaa", abcd)
         _, table, approx = pipeline(pattern, text)
         report = filter_occurrences(pattern, text, table, approx)
-        assert report.exact_occurrences == (1, 2)
+        assert report.exact_occurrences.tolist() == [1, 2]
 
     def test_no_approximate_occurrences(self, abcd):
         pattern = parse_solid("ab", abcd)
         text = parse_solid("dddd", abcd)
         _, table, approx = pipeline(pattern, text)
         report = filter_occurrences(pattern, text, table, approx)
-        assert report.exact_occurrences == () and report.approximate_occurrences == ()
+        assert report.exact_occurrences.tolist() == [] and report.approximate_occurrences.tolist() == []
 
     @pytest.mark.parametrize("raw_text,verdicts", [
         ("[ab]bdacd", (FAKE, FAKE)),  # the text placeholder is recorded too
@@ -719,7 +720,7 @@ class TestFilter:
             pattern, text = generate_instance(spec)
             _, table, approx = pipeline(pattern, text)
             report = filter_occurrences(pattern, text, table, approx, diagnostics=True)
-            assert report.approximate_occurrences == approx
+            assert np.array_equal(report.approximate_occurrences, approx)
             for i, verdicts in zip(approx, report.verdicts):
                 expected = tuple(
                     FAKE if pattern.symbol_at(e).mask & text.symbol_at(i + e).mask else REAL
@@ -732,14 +733,14 @@ class TestFilter:
 class TestFindOccurrences:
     def test_golden_end_to_end(self, golden_pattern, golden_text):
         report = find_occurrences(golden_pattern, golden_text)
-        assert report.exact_occurrences == (2, 5)
+        assert report.exact_occurrences.tolist() == [2, 5]
         assert report.verdicts is None
 
     def test_degenerate_text_singleton_pattern(self, abcd):
         pattern = parse_solid("a", abcd)
         text = parse_bracket("[ab]c", abcd)
         report = find_occurrences(pattern, text)
-        assert report.exact_occurrences == (1,)
+        assert report.exact_occurrences.tolist() == [1]
 
     def test_empty_pattern_rejected(self, abcd, golden_text):
         with pytest.raises(EmptyPattern):
@@ -752,7 +753,7 @@ class TestFindOccurrences:
 
     def test_pattern_longer_than_text_is_empty_report(self, abcd):
         report = find_occurrences(parse_solid("aaaa", abcd), parse_solid("aa", abcd))
-        assert report.exact_occurrences == ()
+        assert report.exact_occurrences.tolist() == []
         assert report.lce_queries == 0
 
     def test_deterministic(self, golden_pattern, golden_text):
@@ -760,23 +761,51 @@ class TestFindOccurrences:
         b = find_occurrences(golden_pattern, golden_text, diagnostics=True)
         assert a == b
 
+    def test_report_is_a_read_only_value(self, golden_pattern, golden_text):
+        a = find_occurrences(golden_pattern, golden_text, diagnostics=True)
+        b = find_occurrences(golden_pattern, golden_text, diagnostics=True)
+        assert a == b and hash(a) == hash(b)
+        assert a.exact_occurrences.dtype == a.approximate_occurrences.dtype == np.int64
+        assert a != dataclasses.replace(a, exact_occurrences=np.array([2, 6]))
+        assert a != dataclasses.replace(a, approximate_occurrences=np.array([1, 4, 11]))
+        for positions in (a.exact_occurrences, a.approximate_occurrences):
+            with pytest.raises(ValueError):
+                positions[0] = 0
+
+    def test_report_holds_16_bytes_per_occurrence(self):
+        # every alignment of an all-A text is an exact occurrence; what
+        # the report holds is what deleting it frees
+        n, m = 1 << 16, 64
+        text, pattern = parse_iupac("A" * n), parse_iupac("A" * m)
+        tracemalloc.start()
+        try:
+            report = find_occurrences(pattern, text)
+            occurrences = len(report.exact_occurrences)
+            with_report, _ = tracemalloc.get_traced_memory()
+            del report
+            held = with_report - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert occurrences == n - m + 1
+        assert held <= 16 * occurrences + 4096
+
     def test_text_placeholder_against_solid_pattern(self, abcd):
         # the text set intersects the pattern character in one case only
         assert find_occurrences(
             parse_solid("ab", abcd), parse_bracket("a[bc]", abcd)
-        ).exact_occurrences == (1,)
+        ).exact_occurrences.tolist() == [1]
         assert find_occurrences(
             parse_solid("ab", abcd), parse_bracket("a[cd]", abcd)
-        ).exact_occurrences == ()
+        ).exact_occurrences.tolist() == []
 
     def test_placeholder_against_placeholder(self, abcd):
         # both sides non-solid: verdict comes from intersecting both sets
         assert find_occurrences(
             parse_bracket("a[bc]", abcd), parse_bracket("a[cd]", abcd)
-        ).exact_occurrences == (1,)
+        ).exact_occurrences.tolist() == [1]
         assert find_occurrences(
             parse_bracket("[ab]", abcd), parse_bracket("[cd]", abcd)
-        ).exact_occurrences == ()
+        ).exact_occurrences.tolist() == []
 
     def test_solid_mismatch_can_enter_budget_but_never_matches(self, abcd):
         # with a degenerate text, a solid-vs-solid mismatch can fit inside
@@ -785,9 +814,9 @@ class TestFindOccurrences:
         text = parse_bracket("d[cd]", abcd)
         _, table, approx = pipeline(pattern, text)
         # solid mismatch at 1, placeholder against placeholder at 2: b_0 = 2
-        assert approx == (0,) and table.column(0) == (1, 2, 3)
+        assert approx.tolist() == [0] and table.column(0) == (1, 2, 3)
         report = find_occurrences(pattern, text)
-        assert report.exact_occurrences == ()
+        assert report.exact_occurrences.tolist() == []
         assert naive_match(pattern, text) == []
 
     def test_matches_oracle_on_mixed_instances(self):
@@ -823,7 +852,7 @@ class TestFindOccurrences:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.approximate_occurrences
+        assert report.approximate_occurrences.size
         assert peak < 64 * n
 
 
