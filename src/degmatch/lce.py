@@ -219,7 +219,7 @@ def _lcp_array(
                 hi_name &= mask
                 del left, right, low
                 if tables is None:
-                    tables = _rmq_tables(lcp)
+                    tables = _rmq_tables(_short_table(lcp))
                 q[full] = _block_range_min(tables, lo_name, hi_name, 0)
             q += skip
             entry[split] = q
@@ -274,46 +274,39 @@ def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _leading_codes(x: np.ndarray, shift: int) -> np.ndarray:
     """Number of zero low-order codes of 2^``shift`` bits in each uint64,
-    64 >> ``shift`` for zero: the codes a little-endian word of XORed codes
-    holds before its first nonzero one.
+    64 >> ``shift`` for zero, as int64: the codes a little-endian word of
+    XORed codes holds before its first nonzero one.
 
-    x & -x keeps the lowest set bit, 2^t, which converts to float exactly,
-    so its exponent field is t + 1023, or 0 for x = 0; one read of
-    ``_CODE_COUNTS[shift]`` at that field gives the count. 2^63 read as
-    int64 is -2^63, whose sign bit the shift carries down, so its field
-    reads 1086 - 2048, a negative index that ``take`` wraps to 1086.
+    x & -x keeps the lowest set bit, 2^t, and one less sets the t bits
+    below it, so its popcount is t; for x = 0 the subtraction wraps to all
+    64 bits set. The popcounts are written over that word buffer as int64.
     """
     count = np.negative(x)
     count &= x
-    count = count.view(np.int64).astype(np.float64).view(np.int64)
-    count >>= 52
-    return _CODE_COUNTS[shift].take(count)
-
-
-def _code_counts(shift: int) -> np.ndarray:
-    """Entry e is the number of whole codes of 2^``shift`` bits below bit
-    e - 1023, and 64 >> ``shift`` at e = 0; only e = 0 and 1023..1086 are
-    read."""
-    bit = np.arange(2048, dtype=np.int64) - 1023
-    table = np.where(bit < 0, 64, bit) >> shift
-    table.flags.writeable = False
-    return table
-
-
-_CODE_COUNTS = {shift: _code_counts(shift) for shift in (3, 4, 5)}
+    count -= 1
+    count = np.bitwise_count(count, out=count.view(np.int64))
+    count >>= shift
+    return count
 
 
 _BLOCK_BITS = 5
 _BLOCK = 1 << _BLOCK_BITS
 
 
-def _rmq_tables(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Block-decomposed range-minimum tables over ``values``: a short sparse
-    table for ranges within one block width, and per-block prefix and
-    suffix minima with a sparse table over the block minima for longer
-    ranges. O(size) int32 entries."""
+def _short_table(values: np.ndarray) -> np.ndarray:
+    """Sparse table over ``values`` for ranges within one block width; its
+    first row is a copy of ``values``."""
+    return _sparse_table(values, min(_BLOCK_BITS + 1, max(1, values.size.bit_length())))
+
+
+def _rmq_tables(short: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Block-decomposed range-minimum tables over the values in the first
+    row of ``short``, their ``_short_table``: that table for ranges within
+    one block width, and per-block prefix and suffix minima with a sparse
+    table over the block minima for longer ranges. O(size) int32
+    entries."""
+    values = short[0]
     length = values.size
-    short = _sparse_table(values, min(_BLOCK_BITS + 1, max(1, length.bit_length())))
     blocks = (length + _BLOCK - 1) >> _BLOCK_BITS
     prefix_min = np.full(blocks << _BLOCK_BITS, np.iinfo(np.int32).max, dtype=np.int32)
     prefix_min[:length] = values
@@ -388,7 +381,7 @@ class LceIndex:
     current doubling round's names and boundary LCPs, so its memory is
     O(L) whatever the number of rounds: at L = 2^19 + 1 its
     ``tracemalloc`` peak is about 33 bytes per symbol on repetitive text,
-    where the sort sets it, and 46 on random text, where D = L and the
+    where the sort sets it, and 42 on random text, where D = L and the
     range-minimum tables set it.
     """
 
@@ -420,18 +413,25 @@ class LceIndex:
     def _build(self) -> None:
         """Suffix order, group ids, boundary LCP array and range-minimum
         tables."""
-        order, rank, lcp = _suffix_array(self._words, self._shift, self.cap)
-        self._build_rmq(lcp)
-        self.suffix_order, self.rank, self.lcp = order, rank, self._short[0]
+        self.suffix_order, self.rank, self.lcp = _suffix_array(
+            self._words, self._shift, self.cap
+        )
+        self._build_rmq()
         for a in (
             self.suffix_order, self.rank, self.lcp,
             self._short, self._prefix_min, self._suffix_min, self._block_table,
         ):
             a.flags.writeable = False
 
-    def _build_rmq(self, lcp: np.ndarray) -> None:
-        """Range-minimum tables over the boundary LCP array."""
-        self._short, self._prefix_min, self._suffix_min, self._block_table = _rmq_tables(lcp)
+    def _build_rmq(self) -> None:
+        """Range-minimum tables over the boundary LCP array ``lcp``, which
+        becomes the first row of their short table. The sort's array is
+        dropped as soon as that row holds its copy, before the block
+        tables are built, which lowers the build's peak on random text by
+        the array's 4 bytes per symbol."""
+        short = _short_table(self.lcp)
+        self.lcp = short[0]
+        self._short, self._prefix_min, self._suffix_min, self._block_table = _rmq_tables(short)
 
     def _index_lce(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """LCE of each pair of distinct offsets from their group ids; builds

@@ -190,6 +190,10 @@ def kangaroo_search(
     j-th placeholder, and every b_i >= k_pattern. So the retirement test
     runs only after rounds k_pattern .. k - 1, for the block's widest
     budget k; on a solid text every b_i is k_pattern and it never runs.
+    In such a uniform range, k = k_pattern, every round writes its row
+    whole, so the table is allocated unfilled, and the approximate
+    alignments are read from row k; otherwise they are read from cell
+    (b_i, i) of each column.
     At most sum of (b_i + 1) queries over the range, and at most
     (k_total + 1)(n - m + 1) in total, each O(1) amortized. Returns the
     range's table and its approximate alignments, 0-based, as an
@@ -210,8 +214,13 @@ def kangaroo_search(
     # whole, as one slice, which costs a tenth of a scatter; after that it
     # scatters through ``active``. The live alignments' rows, offsets and
     # budgets are kept packed, and repacked only in a round that retires
-    # some.
-    entries = np.full((k + 1, count), n + sentinel, dtype=np.int32)
+    # some. A uniform block, k = k_pattern, retires none, so every row is
+    # written whole and its table needs no fill.
+    uniform = k == k_pattern
+    if uniform:
+        entries = np.empty((k + 1, count), dtype=np.int32)
+    else:
+        entries = np.full((k + 1, count), n + sentinel, dtype=np.int32)
     active = np.arange(count, dtype=np.int64)
     text_at = active + lo
     pattern_at = np.full(count, n, dtype=np.int64)
@@ -238,8 +247,11 @@ def kangaroo_search(
                 )
     entries -= n
 
-    cells = budgets * count + np.arange(count)  # cell (b_i, i) of the flat table
-    approx = np.flatnonzero(entries.take(cells) == sentinel) + lo
+    if uniform:
+        last = entries[k]
+    else:
+        last = entries.take(budgets * count + np.arange(count))  # cell (b_i, i)
+    approx = np.flatnonzero(last == sentinel) + lo
     table = MismatchTable(entries=entries.T, m=m, budget=k, query_count=queries, first=lo)
     return table, approx
 
@@ -303,17 +315,22 @@ def filter_occurrences(
     set at i+e intersect (every mismatch is fake).
 
     ``approx`` is the table's int64 array of approximate alignments, as
-    ``kangaroo_search`` returns it; the report holds it as it is. Each
+    ``kangaroo_search`` returns it; the report holds it as it is. A table
+    without approximate alignments, as most blocks of a solid search
+    are, returns at once: its report holds that empty array as both
+    position fields, with no verdicts. Each
     string's sets are looked up in its own membership rows by its
     own ranks. Rows are bit-packed, so an intersection test is one
     byte-wise AND for any alphabet size. ``membership`` is the pair of
     ``precompute_membership`` rows of the pattern and the text, built
     here when not given.
     """
+    rows = np.asarray(approx, dtype=np.int64)
+    if rows.size == 0:
+        return MatchReport(rows, rows, () if diagnostics else None, table.query_count)
     if membership is None:
         membership = precompute_membership(pattern), precompute_membership(text)
     pattern_rows, text_rows = membership
-    rows = np.asarray(approx, dtype=np.int64)
     # column b_i of an approximate row is the sentinel, so the last column
     # never holds a mismatch; on the column-major table this gather beats
     # ``take`` of whole rows
@@ -370,8 +387,13 @@ def _block_rows(budgets: np.ndarray, lo: int) -> int:
     """Alignments in the block that starts at alignment ``lo``: the most
     whose widest budget b keeps the block's table, rows x (b + 1) cells,
     within ``BLOCK_CELLS``, and at least one. ``budgets`` is the
-    ``window_budgets`` array, a zero-stride view on a solid text."""
+    ``window_budgets`` array, a zero-stride view on a solid text. The
+    rows that fit at the first budget are a bound; when they also fit at
+    the widest budget among them, as on a solid text, they are the
+    answer, with no running maximum."""
     ahead = budgets[lo : lo + max(1, BLOCK_CELLS // (int(budgets[lo]) + 1))]
+    if (int(ahead.max()) + 1) * ahead.size <= BLOCK_CELLS:
+        return ahead.size
     widths = np.maximum.accumulate(ahead) + 1
     return max(1, int(np.count_nonzero(widths * np.arange(1, ahead.size + 1) <= BLOCK_CELLS)))
 
