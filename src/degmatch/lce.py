@@ -413,10 +413,9 @@ class LceIndex:
     def _build(self) -> None:
         """Suffix order, group ids, boundary LCP array and range-minimum
         tables."""
-        self.suffix_order, self.rank, self.lcp = _suffix_array(
-            self._words, self._shift, self.cap
-        )
+        order, rank, self.lcp = _suffix_array(self._words, self._shift, self.cap)
         self._build_rmq()
+        self.suffix_order, self.rank = order, rank
         for a in (
             self.suffix_order, self.rank, self.lcp,
             self._short, self._prefix_min, self._suffix_min, self._block_table,

@@ -592,6 +592,101 @@ class TestBlocks:
         assert cells == 1 or any(len(b) > 1 and b[-1] < b[0] for b in blocks)
 
 
+def _greedy_blocks(budgets, cells):
+    """The blocks of a search by brute force: from each block's first
+    alignment, the most rows whose widest budget b keeps rows x (b + 1)
+    within ``cells``, and at least one."""
+    blocks, lo = [], 0
+    while lo < len(budgets):
+        rows, widest = 1, budgets[lo]
+        while lo + rows < len(budgets):
+            widest = max(widest, budgets[lo + rows])
+            if (rows + 1) * (widest + 1) > cells:
+                break
+            rows += 1
+        blocks.append(range(lo, lo + rows))
+        lo += rows
+    return blocks
+
+
+def _block_sizing_cases():
+    """(pattern, text, cells) for the block partition check: a solid
+    text, one wide N gap, scattered placeholders, an all-N text, and a
+    gap whose budgets are wider than the cells."""
+    rng = random.Random(21)
+    solid = [rng.choice("ACGT") for _ in range(3_000)]
+    gap = solid[:1_000] + ["N"] * 200 + solid[1_200:]
+    scattered = [rng.choice("ACGT" * 12 + "RYN") for _ in range(3_000)]
+    return {
+        "solid": ("ACNTRGAACGTNACGT", "".join(solid), 64),
+        "wide-gap": ("ACNTRGAACGTNACGTACGT", "".join(gap), 64),
+        "scattered": ("ACNTRGAACGTNACGTACGT", "".join(scattered), 64),
+        "all-n": ("ACNTRGAACGTNACGTACGT", "N" * 500, 64),
+        "budget-over-cells": ("ACGTNCGTACGTACGTACGT", "".join(gap[900:1_400]), 8),
+    }
+
+
+@pytest.mark.parametrize("case", list(_block_sizing_cases()))
+def test_blocks_are_the_greedy_partition(monkeypatch, case):
+    raw_pattern, raw_text, cells = _block_sizing_cases()[case]
+    pattern, text = parse_iupac(raw_pattern), parse_iupac(raw_text)
+    budgets = window_budgets(pattern, text)
+    assert (matcher.window_budgets(pattern, text).strides == (0,)) == (case == "solid")
+    assert (max(budgets) + 1 > cells) == (case == "budget-over-cells")
+    monkeypatch.setattr(matcher, "BLOCK_CELLS", cells)
+    walked = []
+
+    def recording_search(pattern, text, index, alignments, budgets):
+        walked.append(alignments)
+        return kangaroo_search(pattern, text, index, alignments, budgets)
+
+    monkeypatch.setattr(matcher, "kangaroo_search", recording_search)
+    matcher.search(pattern, text, prepare(pattern, text))
+    assert walked == _greedy_blocks(budgets, cells)
+
+
+def test_blocks_without_approximate_alignments_skip_stage_3(monkeypatch):
+    # one planted occurrence in a solid text searched in blocks of 16
+    # alignments: all blocks but one hold no approximate alignment, and
+    # each block still makes one stage-3 call
+    rng = random.Random(3)
+    bases = [rng.choice("ACGT") for _ in range(4_000)]
+    m, k_p = 16, 3
+    raw_pattern = bases[1_000 : 1_000 + m]
+    raw_pattern[2] = raw_pattern[11] = "N"
+    raw_pattern[7] = "R" if raw_pattern[7] in "AG" else "Y"
+    pattern, text = parse_iupac("".join(raw_pattern)), parse_iupac("".join(bases))
+    index = prepare(pattern, text)
+    table, approx = kangaroo_search(pattern, text, index)
+    monkeypatch.setattr(matcher, "BLOCK_CELLS", 64)
+    sizes = []
+
+    def recording_filter(pattern, text, table, approx, *args):
+        sizes.append(approx.size)
+        return filter_occurrences(pattern, text, table, approx, *args)
+
+    monkeypatch.setattr(matcher, "filter_occurrences", recording_filter)
+    for diagnostics in (False, True):
+        want = filter_occurrences(pattern, text, table, approx, diagnostics)
+        assert matcher.search(pattern, text, index, diagnostics) == want
+    assert want.exact_occurrences.tolist() == naive_match(pattern, text)
+    assert 1_001 in want.exact_occurrences
+    assert want.lce_queries == (k_p + 1) * (len(text) - m + 1)
+    blocks = -(-(len(text) - m + 1) // (64 // (k_p + 1)))
+    assert len(sizes) == 2 * blocks
+    assert sizes.count(0) == 2 * (blocks - approx.size)
+
+    absent = parse_iupac("AAAAAAAAAAAANAAA")
+    assert naive_match(absent, text) == []
+    for diagnostics in (False, True):
+        report = matcher.search(absent, text, prepare(absent, text), diagnostics)
+        for positions in (report.exact_occurrences, report.approximate_occurrences):
+            assert positions.dtype == np.int64 and positions.size == 0
+            assert not positions.flags.writeable
+        assert report.verdicts == (() if diagnostics else None)
+        assert report.lce_queries == 2 * (len(text) - m + 1)
+
+
 def _naive_tables():
     """Seeded (pattern, text) pairs for the whole-table check: a solid
     text, on which every round writes its row whole, a degenerate text
