@@ -8,6 +8,7 @@ the brute-force reference.
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .core import (
     Alphabet,
@@ -124,32 +125,41 @@ def _load_text_records(args: argparse.Namespace, stdin) -> list[tuple[str | None
 
 
 def _emit(record_id, report, pattern_length, fmt, diagnostics, out) -> None:
-    positions = report.exact_occurrences.tolist()
+    """Write the exact occurrences of one record to ``out`` in ``fmt``.
+
+    Every format builds one line template for the record, holding the
+    record's own fields with '%' escaped: the id (``-`` for an anonymous
+    record in ``tsv`` and ``json-lines``, none in ``positions``) and, for
+    ``json-lines``, the JSON text of the id and of ``pattern_length``. One
+    ``template * len % values`` pass then writes every occurrence. With
+    ``diagnostics``, which ``positions`` ignores, ``report`` holds
+    verdicts: each exact occurrence p takes the verdicts of approximate
+    alignment p - 1, each distinct verdict tuple is formatted once, as a
+    comma-joined list in ``tsv`` and a JSON list in ``json-lines``, and
+    the texts are interleaved with the positions.
+    """
+    positions = report.exact_occurrences
+    rid = "-" if record_id is None else record_id
     if fmt == "positions":
-        prefix = f"{record_id}:" if record_id is not None else ""
-        # one %-format pass per record; a '%' in the id is escaped
-        out.write((prefix.replace("%", "%%") + "%d\n") * len(positions) % tuple(positions))
-        return
-    verdict_of = {}
-    if diagnostics and report.verdicts is not None:
-        verdict_of = dict(zip(report.approximate_occurrences.tolist(), report.verdicts))
-    lines = []
-    for pos in positions:
-        if fmt == "tsv":
-            row = [record_id if record_id is not None else "-", str(pos)]
-            if diagnostics:
-                row.append(",".join(verdict_of.get(pos - 1, ())))
-            lines.append("\t".join(row) + "\n")
-        else:  # json-lines
-            obj = {
-                "record": record_id if record_id is not None else "-",
-                "position": pos,
-                "pattern_length": pattern_length,
-            }
-            if diagnostics:
-                obj["verdicts"] = list(verdict_of.get(pos - 1, ()))
-            lines.append(json.dumps(obj) + "\n")
-    out.write("".join(lines))
+        diagnostics = False
+        line = "%d\n" if record_id is None else record_id.replace("%", "%%") + ":%d\n"
+    elif fmt == "tsv":
+        encode = ",".join
+        line = rid.replace("%", "%%") + ("\t%d\t%s\n" if diagnostics else "\t%d\n")
+    else:  # json-lines
+        encode = json.dumps
+        line = (
+            '{"record": ' + json.dumps(rid).replace("%", "%%") + ', "position": %d, '
+            '"pattern_length": ' + json.dumps(pattern_length)
+            + (', "verdicts": %s}\n' if diagnostics else "}\n")
+        )
+    values = positions.tolist()
+    if diagnostics:
+        text = {v: encode(v) for v in set(report.verdicts)}
+        row_text = list(map(text.__getitem__, report.verdicts))
+        rows = report.approximate_occurrences.searchsorted(positions - 1).tolist()
+        values = chain.from_iterable(zip(values, map(row_text.__getitem__, rows)))
+    out.write(line * positions.size % tuple(values))
 
 
 def run(argv=None, out=None, err=None, stdin=None) -> int:

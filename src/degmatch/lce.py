@@ -205,10 +205,11 @@ def _lcp_array(
             skip = top - low
             skip //= bits
             skip *= h
-            q = words[order[x] + skip]
-            q ^= words[order[x + 1] + skip]
+            i = order[x] + skip
+            j = order[x + 1] + skip
             del x
-            q = _leading_codes(q, shift)
+            q = _compare(words, shift, i, j)
+            del i, j
             full = np.flatnonzero(q == width)
             if full.size:
                 low = low[full]
@@ -228,7 +229,7 @@ def _lcp_array(
 
 
 def _top_bit(x: np.ndarray) -> np.ndarray:
-    """floor(log2(x)) of each positive int64: the exponent field of x as a
+    """floor(log2(x)) of each positive integer: the exponent field of x as a
     float, less one where rounding to 53 bits carried x up to the next
     power of two."""
     bit = x.astype(np.float64).view(np.int64)
@@ -256,11 +257,7 @@ def _range_min(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     masks it out."""
     width = hi - lo + 1
     np.maximum(width, 1, out=width)
-    # row = floor(log2(width)): the exponent field of the width as a
-    # float, which holds it exactly, is that plus the bias 1023
-    row = width.astype(np.float64).view(np.int64)
-    row >>= 52
-    row -= 1023
+    row = _top_bit(width)
     # offsets into the flat table: a take per span runs faster than
     # indexing rows and columns
     first = row * table.shape[1]
@@ -287,6 +284,15 @@ def _leading_codes(x: np.ndarray, shift: int) -> np.ndarray:
     count = np.bitwise_count(count, out=count.view(np.int64))
     count >>= shift
     return count
+
+
+def _compare(words: np.ndarray, shift: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Codes the words at offsets ``i`` and ``j`` of ``words`` share
+    before their first difference, from 0 up to all of a word's
+    64 >> ``shift``."""
+    x = words.take(i)
+    x ^= words.take(j)
+    return _leading_codes(x, shift)
 
 
 _BLOCK_BITS = 5
@@ -450,13 +456,6 @@ class LceIndex:
         tables = self._short, self._prefix_min, self._suffix_min, self._block_table
         return _block_range_min(tables, lo, hi, self.cap)
 
-    def _compare(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Codes the words at offsets ``i`` and ``j`` share before their
-        first difference, from 0 up to all of a word's 64 >> shift."""
-        x = self._words.take(i)
-        np.bitwise_xor(x, self._words.take(j), out=x)
-        return _leading_codes(x, self._shift)
-
     def lce_many(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Longest common prefix of the suffixes at offsets ``i[x]`` and
         ``j[x]`` (0-based), two distinct offsets, for every x, capped at
@@ -469,7 +468,7 @@ class LceIndex:
         """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        out = self._compare(i, j)
+        out = _compare(self._words, self._shift, i, j)
         if out.max(initial=0) < 64 >> self._shift:
             return out  # the empty batch too
         pending = np.flatnonzero(out == 64 >> self._shift)
@@ -497,7 +496,7 @@ class LceIndex:
                 break
             self._word_budget -= extending.size
             at = ext[extending]
-            equal = self._compare(i[extending] + at, j[extending] + at)
+            equal = _compare(self._words, self._shift, i[extending] + at, j[extending] + at)
             ext[extending] += equal
             extending = extending[equal == 64 >> self._shift]
         out[pending] = ext

@@ -131,14 +131,6 @@ class MismatchTable:
     def alignments(self) -> int:
         return self.entries.shape[0]
 
-    def entry(self, i: int, j: int) -> int:
-        """Position of the j-th mismatch (j is 1-based) at alignment i."""
-        return int(self.entries[i - self.first, j - 1])
-
-    def column(self, i: int) -> tuple[int, ...]:
-        """All budget+1 mismatch entries for alignment i."""
-        return tuple(int(x) for x in self.entries[i - self.first])
-
 
 def window_budgets(pattern: DegenerateString, text: DegenerateString) -> np.ndarray:
     """The kangaroo budget b_i = min(m, k_pattern + t_i) of every

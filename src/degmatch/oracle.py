@@ -8,7 +8,7 @@ built by ``core._pack``, as parsed strings are.
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,18 +126,3 @@ def generate_instance(spec: RandomInstanceSpec) -> tuple[DegenerateString, Degen
 
     return tuple(_pack(alphabet, mks, np.arange(len(mks))) for mks in (pattern_masks, text_masks))
 
-
-def shrink(spec: RandomInstanceSpec) -> RandomInstanceSpec | None:
-    """Halve n and m (clamping the other fields) for counterexample
-    minimization; None once nothing can shrink further."""
-    n, m = spec.n // 2, max(1, spec.m // 2)
-    if n < 1 or (n, m) == (spec.n, spec.m):
-        return None
-    n = max(n, m)
-    return replace(
-        spec,
-        n=n,
-        m=m,
-        k_pattern=min(spec.k_pattern, m),
-        k_text=min(spec.k_text, n),
-    )

@@ -27,7 +27,7 @@ from degmatch import (
 from degmatch.bench import GridSpec, run_scaling
 from degmatch.cli import main as cli_main
 from degmatch.matcher import kangaroo_search, prepare
-from degmatch.oracle import GENERATOR_NAME, RandomInstanceSpec, generate_instance, shrink
+from degmatch.oracle import GENERATOR_NAME, RandomInstanceSpec, generate_instance
 
 GOLDEN_PATTERN = "a[bc]da[bd]"
 GOLDEN_TEXT = "dacdabdadcabdac"
@@ -93,14 +93,6 @@ def _disagrees(spec):
     return None if got == expected else (pattern, text, got, expected)
 
 
-def _minimize(spec):
-    while True:
-        smaller = shrink(spec)
-        if smaller is None or _disagrees(smaller) is None:
-            return spec
-        spec = smaller
-
-
 @pytest.fixture(scope="module")
 def equivalence_sweep():
     specs = _criterion4_specs()
@@ -151,9 +143,9 @@ def test_criterion_2_mismatch_table_reproduction():
     table, _ = golden_stage2()
     assert table.entries.shape == (11, 3)
     assert table.entries.T.tolist() == GOLDEN_TABLE
-    assert table.column(7) == (2, 3, 5)
+    assert table.entries[7 - table.first].tolist() == [2, 3, 5]
     for i in (1, 4, 10):
-        assert table.entry(i, 3) == 6
+        assert table.entries[i - table.first, 2] == 6
     print("criterion 2: PASS - full 3x11 mismatch table reproduced")
 
 
@@ -171,11 +163,11 @@ def test_criterion_4_oracle_equivalence(equivalence_sweep):
     sweep = equivalence_sweep
     assert sweep.total >= 10_000
     if sweep.failures:
-        spec = _minimize(sweep.failures[0])
+        spec = sweep.failures[0]
         pattern, text, got, expected = _disagrees(spec)
         pytest.fail(
             f"{len(sweep.failures)} of {sweep.total} instances disagree with the oracle; "
-            f"minimal example (seed={spec.seed}, generator={GENERATOR_NAME}): "
+            f"first (seed={spec.seed}, generator={GENERATOR_NAME}): "
             f"pattern={format_bracket(pattern)!r} text={format_bracket(text)!r} "
             f"got={got} expected={expected} spec={spec}"
         )
@@ -248,7 +240,7 @@ def test_criterion_7_invariant_suite(capsys, tmp_path):
         table, approx = kangaroo_search(pattern, text, prepare(pattern, text))
         placeholder_set = set(pattern.non_solid_positions)
         for i in approx:
-            entries = {e for e in table.column(i) if e != table.sentinel}
+            entries = {e for e in table.entries[i - table.first].tolist() if e != table.sentinel}
             assert entries == placeholder_set
 
     # parser round-trip on randomized canonical strings

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import degmatch
-from degmatch.cli import EmptyFile, main, run
+from degmatch import find_occurrences, parse_iupac
+from degmatch.cli import EmptyFile, _emit, main, run
 
 GOLDEN = ["-p", "a[bc]da[bd]", "--text", "dacdabdadcabdac"]
 
@@ -176,6 +177,53 @@ class TestFormats:
         objs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert all("verdicts" not in o for o in objs)
         assert all(o["record"] == "-" for o in objs)
+
+    @staticmethod
+    def reference_emit(record_id, report, pattern_length, fmt, diagnostics):
+        """One line per occurrence, each formatted on its own: the
+        reference that ``_emit``'s one formatting pass per record must
+        reproduce byte for byte."""
+        verdict_of = {}
+        if diagnostics:
+            verdict_of = dict(zip(report.approximate_occurrences.tolist(), report.verdicts))
+        lines = []
+        for pos in report.exact_occurrences.tolist():
+            if fmt == "positions":
+                prefix = f"{record_id}:" if record_id is not None else ""
+                lines.append(f"{prefix}{pos}\n")
+            elif fmt == "tsv":
+                row = [record_id if record_id is not None else "-", str(pos)]
+                if diagnostics:
+                    row.append(",".join(verdict_of[pos - 1]))
+                lines.append("\t".join(row) + "\n")
+            else:
+                obj = {
+                    "record": record_id if record_id is not None else "-",
+                    "position": pos,
+                    "pattern_length": pattern_length,
+                }
+                if diagnostics:
+                    obj["verdicts"] = list(verdict_of[pos - 1])
+                lines.append(json.dumps(obj) + "\n")
+        return "".join(lines)
+
+    @pytest.mark.parametrize("fmt", ["positions", "tsv", "json-lines"])
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    @pytest.mark.parametrize("text", [
+        # four exact occurrences among ten approximate alignments, whose
+        # verdict rows hold two to six verdicts, some of them real
+        "TTACGATAGNNNRCGCTACNNNTAACATAYGCTAACGNTA",
+        "TTTTTTTT",
+    ], ids=["degenerate", "none"])
+    def test_emit_matches_the_per_occurrence_reference(self, fmt, diagnostics, text):
+        pattern = parse_iupac("ACRNTA")
+        report = find_occurrences(pattern, parse_iupac(text), diagnostics=diagnostics)
+        for record_id in (None, "r1", "-", "", "a%d%%b", 'q"\\é'):
+            out = io.StringIO()
+            _emit(record_id, report, len(pattern), fmt, diagnostics, out)
+            assert out.getvalue() == self.reference_emit(
+                record_id, report, len(pattern), fmt, diagnostics
+            ), record_id
 
 
 class TestSyntaxes:

@@ -200,12 +200,12 @@ class TestKangarooSearch:
 
     def test_golden_column_seven(self, golden_pattern, golden_text):
         _, table, _ = pipeline(golden_pattern, golden_text)
-        assert table.column(7) == (2, 3, 5)
+        assert table.entries[7 - table.first].tolist() == [2, 3, 5]
 
     def test_sentinel_in_approximate_columns(self, golden_pattern, golden_text):
         _, table, _ = pipeline(golden_pattern, golden_text)
         for i in (1, 4, 10):
-            assert table.entry(i, 3) == 6 == table.sentinel
+            assert table.entries[i - table.first, 2] == 6 == table.sentinel
 
     def test_solid_exact_matching(self, abcd):
         pattern = parse_solid("aa", abcd)
@@ -819,7 +819,7 @@ class TestFilter:
             for i, verdicts in zip(approx, report.verdicts):
                 expected = tuple(
                     FAKE if pattern.symbol_at(e).mask & text.symbol_at(i + e).mask else REAL
-                    for e in table.column(i) if e != table.sentinel
+                    for e in table.entries[i - table.first].tolist() if e != table.sentinel
                 )
                 assert verdicts == expected, spec
                 assert (i + 1 in report.exact_occurrences) == (REAL not in verdicts), spec
@@ -909,7 +909,7 @@ class TestFindOccurrences:
         text = parse_bracket("d[cd]", abcd)
         _, table, approx = pipeline(pattern, text)
         # solid mismatch at 1, placeholder against placeholder at 2: b_0 = 2
-        assert approx.tolist() == [0] and table.column(0) == (1, 2, 3)
+        assert approx.tolist() == [0] and table.entries[0 - table.first].tolist() == [1, 2, 3]
         report = find_occurrences(pattern, text)
         assert report.exact_occurrences.tolist() == []
         assert naive_match(pattern, text) == []
@@ -971,14 +971,14 @@ class TestStructuralInvariants:
             _, table, approx = pipeline(pattern, text)
             expected = set(pattern.non_solid_positions)
             for i in approx:
-                entries = {e for e in table.column(i) if e != table.sentinel}
+                entries = {e for e in table.entries[i - table.first].tolist() if e != table.sentinel}
                 assert entries == expected
 
     def test_rows_strictly_increase_until_sentinel(self):
         for pattern, text in self._random_solid_instances(60):
             _, table, _ = pipeline(pattern, text)
             for i in range(table.alignments):
-                row = table.column(i)
+                row = table.entries[i - table.first].tolist()
                 for a, b in zip(row, row[1:]):
                     assert a < b or a == b == table.sentinel
 
@@ -987,7 +987,7 @@ class TestStructuralInvariants:
             index, table, _ = pipeline(pattern, text)
             n = len(text)
             for i in range(table.alignments):
-                for e in table.column(i):
+                for e in table.entries[i - table.first].tolist():
                     if e != table.sentinel:
                         assert index.seq[i + e - 1] != index.seq[n + e - 1]
 
@@ -1006,7 +1006,7 @@ class TestStructuralInvariants:
             assert index.seq.dtype == np.int32  # prepare's ranks, not a wider copy
             n = len(text)
             for i in approx:
-                entries = {e for e in table.column(i) if e != table.sentinel}
+                entries = {e for e in table.entries[i - table.first].tolist() if e != table.sentinel}
                 window_mismatches = {
                     e for e in range(1, len(pattern) + 1)
                     if index.seq[i + e - 1] != index.seq[n + e - 1]

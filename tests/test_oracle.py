@@ -11,7 +11,7 @@ from degmatch import (
     parse_bracket,
     parse_solid,
 )
-from degmatch.oracle import RandomInstanceSpec, generate_instance, shrink
+from degmatch.oracle import RandomInstanceSpec, generate_instance
 
 
 def _refuse(*_args, **_kwargs):
@@ -106,20 +106,3 @@ class TestGenerateInstance:
             if naive_match(pattern, text):
                 hits += 1
         assert 60 <= hits <= 140
-
-
-class TestShrink:
-    def test_halves_and_clamps(self):
-        spec = RandomInstanceSpec(n=100, m=40, sigma=4, k_pattern=30, k_text=60, max_set_size=3, seed=5)
-        small = shrink(spec)
-        assert small.n == 50 and small.m == 20
-        assert small.k_pattern <= small.m and small.k_text <= small.n
-        generate_instance(small)  # still valid
-
-    def test_terminates(self):
-        spec = RandomInstanceSpec(n=64, m=16, sigma=4, k_pattern=4, k_text=2, max_set_size=2, seed=5)
-        steps = 0
-        while spec is not None:
-            spec = shrink(spec)
-            steps += 1
-            assert steps < 20
