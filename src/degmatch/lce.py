@@ -231,11 +231,14 @@ def _lcp_array(
 def _top_bit(x: np.ndarray) -> np.ndarray:
     """floor(log2(x)) of each positive integer: the exponent field of x as a
     float, less one where rounding to 53 bits carried x up to the next
-    power of two."""
+    power of two. Only values from 2^53 up can carry, so for int32 input,
+    such as the range widths of every index query, the correction, a
+    shift by a different count per element, is skipped."""
     bit = x.astype(np.float64).view(np.int64)
     bit >>= 52
     bit -= 1023
-    bit -= (x >> bit) == 0
+    if x.dtype.itemsize > 4:
+        bit -= (x >> bit) == 0
     return bit
 
 
