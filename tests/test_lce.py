@@ -306,6 +306,13 @@ def test_top_bit_every_highest_set_bit():
         assert lce._top_bit(x).tolist() == [t] * x.size
 
 
+def test_top_bit_int32_without_the_correction():
+    # int32 input, as the range widths of index queries, skips the
+    # rounding correction: every such value converts to a float exactly
+    x = np.array([v for t in range(31) for v in (1 << t, (2 << t) - 1)], dtype=np.int32)
+    assert lce._top_bit(x).tolist() == [t for t in range(31) for _ in range(2)]
+
+
 def test_range_min_every_span():
     # every (lo, hi) with lo <= hi at every length up to 300, so every
     # power-of-two width and every width just below one is read
