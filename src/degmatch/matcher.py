@@ -45,16 +45,23 @@ tables, O(D) for the D groups of suffixes that share their capped
 prefix, far fewer than n + m on repetitive text; while it builds them
 the index holds only the current prefix-doubling round's names, keys
 and boundary LCPs, however many names a round packs into a key, so the
-build is O(n + m) too. ``search`` runs stages 2 and 3 on one
-block of consecutive alignments at a time, so its mismatch table holds
-at most ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a
-single alignment's budget is wider than that; the block's round
-temporaries are O(block rows). The per-window budgets (one int32 per
-alignment, a zero-stride view that allocates nothing on a solid text)
-and the membership rows, one per base symbol and per distinct set of
-each string, are built once per search. The report holds its positions
-as two int64 arrays, 8 bytes per approximate alignment and 8 per exact
-occurrence: 16 bytes per occurrence when every alignment matches.
+build is O(n + m) too. ``search`` runs stages 2 and 3 on one block of
+alignments at a time, so its mismatch table holds at most
+``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a single
+alignment's budget is wider than that; the block's round temporaries
+are O(block rows). A narrow block holds the alignments of budget
+k_pattern in one segment of BLOCK_CELLS // (k_pattern + 1) consecutive
+alignments; the wider ones wait in a pool of int64 ids, never more than
+one wide block's rows beside one segment's, until they fill a wide
+block. On a solid text every block is narrow and holds a whole segment.
+The per-window budgets (one int32 per alignment, a zero-stride view
+that allocates nothing on a solid text) and the membership rows, one
+per base symbol and per distinct set of each string, are built once per
+search. The report holds its positions as two int64 arrays, 8 bytes per
+approximate alignment and 8 per exact occurrence: 16 bytes per
+occurrence when every alignment matches; when some block was wide,
+merging the narrow and the wide blocks' positions back into position
+order takes one more int64 array per approximate alignment.
 """
 
 from dataclasses import dataclass
@@ -95,9 +102,9 @@ def precompute_membership(s: DegenerateString) -> np.ndarray:
 class MismatchTable:
     """First ``b_i + 1`` mismatch positions per alignment i of one block.
 
-    The block covers alignments ``first .. first + alignments - 1``, and
-    ``entries[i - first, j-1]`` is the 1-based pattern position of the
-    j-th mismatch between the text window at alignment i and the
+    ``ids`` lists the block's alignments as an increasing int64 array,
+    and ``entries[r, j-1]`` is the 1-based pattern position of the j-th
+    mismatch between the text window at alignment ``ids[r]`` and the
     substituted pattern, or the sentinel m+1 once the window has matched
     through the end of the pattern. ``budget`` is the block's largest
     per-alignment budget, so the table is ``budget + 1`` columns wide.
@@ -110,18 +117,22 @@ class MismatchTable:
     Beside the O(n + m) index, a search holds one such table at a time,
     and ``search`` sizes its blocks so that each table has at most
     ``BLOCK_CELLS`` = 2^18 int32 cells (1 MiB), or one row when a single
-    budget is wider. ``kangaroo_search`` over the full range, as the
-    tests call it, gives one table for all n - m + 1 alignments.
+    budget is wider. A narrow block holds alignments of budget k_pattern
+    alone and is k_pattern + 1 columns wide; a wide block holds some of
+    the others, and its ids skip the narrow alignments between them.
+    ``kangaroo_search`` over the full range, as the tests call it, gives
+    one table for all n - m + 1 alignments, with ids 0 .. n - m.
     """
 
     entries: np.ndarray  # shape (alignments in the block, budget + 1)
     m: int
     budget: int
     query_count: int
-    first: int
+    ids: np.ndarray  # the alignment of each row, increasing int64
 
     def __post_init__(self):
         self.entries.flags.writeable = False
+        self.ids.flags.writeable = False
 
     @property
     def sentinel(self) -> int:
@@ -152,15 +163,16 @@ def kangaroo_search(
     pattern: DegenerateString,
     text: DegenerateString,
     index: LceIndex,
-    alignments: range | None = None,
+    alignments: range | np.ndarray | None = None,
     budgets: np.ndarray | None = None,
 ) -> tuple[MismatchTable, np.ndarray]:
-    """Scan a range of alignments, all of them by default, jumping past
+    """Scan a block of alignments, all of them by default, jumping past
     each mismatch with one LCE query.
 
-    ``index`` comes from ``prepare``: it is built over text + pattern +
-    separator, with the text's placeholders coded apart from the
-    pattern's, and the pattern is no longer than the text. A jump from
+    ``alignments`` is a range or an increasing int64 array of alignment
+    ids. ``index`` comes from ``prepare``: it is built over text +
+    pattern + separator, with the text's placeholders coded apart from
+    the pattern's, and the pattern is no longer than the text. A jump from
     offset f of alignment i needs no clip at the pattern end: the
     separator at n + m ends its LCE within m - f, as i + m <= n.
     Alignment i makes at most b_i + 1 jumps and is an approximate
@@ -181,14 +193,14 @@ def kangaroo_search(
     every text symbol, so mismatch j <= k_pattern lies at or before the
     j-th placeholder, and every b_i >= k_pattern. So the retirement test
     runs only after rounds k_pattern .. k - 1, for the block's widest
-    budget k; on a solid text every b_i is k_pattern and it never runs.
-    In such a uniform range, k = k_pattern, every round writes its row
-    whole, so the table is allocated unfilled, and the approximate
-    alignments are read from row k; otherwise they are read from cell
-    (b_i, i) of each column.
-    At most sum of (b_i + 1) queries over the range, and at most
+    budget k. A narrow block, k = k_pattern, never runs it: every round
+    writes its row whole, so the table is allocated unfilled, and the
+    approximate alignments are read from row k; otherwise they are read
+    from cell (b_i, i) of each column. On a solid text every block is
+    narrow.
+    At most sum of (b_i + 1) queries over the block, and at most
     (k_total + 1)(n - m + 1) in total, each O(1) amortized. Returns the
-    range's table and its approximate alignments, 0-based, as an
+    block's table and its approximate alignments, 0-based, as an
     increasing int64 array.
     """
     m, n = len(pattern), len(text)
@@ -197,54 +209,59 @@ def kangaroo_search(
         alignments = range(n - m + 1)
     if budgets is None:
         budgets = window_budgets(pattern, text)
-    lo, count = alignments.start, len(alignments)
-    budgets = budgets[lo : lo + count]
-    k = int(budgets.max(initial=0))  # an empty range gives a 0-row table
+    if isinstance(alignments, range):
+        ids = np.arange(alignments.start, alignments.stop, dtype=np.int64)
+        budgets = budgets[alignments.start : alignments.stop]
+    else:
+        ids = np.asarray(alignments, dtype=np.int64)
+        budgets = budgets[ids]
+    count = ids.size
+    k = int(budgets.max(initial=0))  # an empty block gives a 0-row table
     k_pattern = int(np.count_nonzero(pattern.ranks >= len(pattern.alphabet)))
 
     # While no alignment of the block has retired a round writes its row
     # whole, as one slice, which costs a tenth of a scatter; after that it
-    # scatters through ``active``. The live alignments' rows, offsets and
+    # scatters through ``live``, the rows still live. Their offsets and
     # budgets are kept packed, and repacked only in a round that retires
-    # some. A uniform block, k = k_pattern, retires none, so every row is
-    # written whole and its table needs no fill.
-    uniform = k == k_pattern
-    if uniform:
+    # some.
+    narrow = k == k_pattern
+    if narrow:
         entries = np.empty((k + 1, count), dtype=np.int32)
     else:
         entries = np.full((k + 1, count), n + sentinel, dtype=np.int32)
-    active = np.arange(count, dtype=np.int64)
-    text_at = active + lo
+    live = None
+    text_at = ids.copy()
     pattern_at = np.full(count, n, dtype=np.int64)
     live_budgets = budgets
     queries = 0
     for j in range(k + 1):
-        if active.size == 0:
+        if text_at.size == 0:
             break
         q = index.lce_many(text_at, pattern_at)
-        queries += int(active.size)
+        queries += int(text_at.size)
         q += 1
         text_at += q
         pattern_at += q
-        if active.size == count:
+        if live is None:
             entries[j] = pattern_at
         else:
-            entries[j, active] = pattern_at
+            entries[j, live] = pattern_at
         if k_pattern <= j < k:
             keep = pattern_at != n + sentinel
             keep &= live_budgets > j
             if not keep.all():
-                active, text_at, pattern_at, live_budgets = (
-                    active[keep], text_at[keep], pattern_at[keep], live_budgets[keep]
+                live = np.flatnonzero(keep) if live is None else live[keep]
+                text_at, pattern_at, live_budgets = (
+                    text_at[keep], pattern_at[keep], live_budgets[keep]
                 )
     entries -= n
 
-    if uniform:
+    if narrow:
         last = entries[k]
     else:
         last = entries.take(budgets * count + np.arange(count))  # cell (b_i, i)
-    approx = np.flatnonzero(last == sentinel) + lo
-    table = MismatchTable(entries=entries.T, m=m, budget=k, query_count=queries, first=lo)
+    approx = ids[np.flatnonzero(last == sentinel)]
+    table = MismatchTable(entries=entries.T, m=m, budget=k, query_count=queries, ids=ids)
     return table, approx
 
 
@@ -307,7 +324,8 @@ def filter_occurrences(
     set at i+e intersect (every mismatch is fake).
 
     ``approx`` is the table's int64 array of approximate alignments, as
-    ``kangaroo_search`` returns it; the report holds it as it is. A table
+    ``kangaroo_search`` returns it; the report holds it as it is, and
+    each alignment's row is found in the table's ``ids``. A table
     without approximate alignments, as most blocks of a solid search
     are, returns at once: its report holds that empty array as both
     position fields, with no verdicts. Each
@@ -326,7 +344,12 @@ def filter_occurrences(
     # column b_i of an approximate row is the sentinel, so the last column
     # never holds a mismatch; on the column-major table this gather beats
     # ``take`` of whole rows
-    mismatches = table.entries[rows - table.first, : table.budget]
+    ids = table.ids
+    if ids[-1] - ids[0] == ids.size - 1:  # consecutive alignments
+        at = rows - ids[0]
+    else:
+        at = ids.searchsorted(rows)
+    mismatches = table.entries[at, : table.budget]
     recorded = mismatches != table.sentinel
     offsets = np.where(recorded, mismatches, 1) - 1  # 0-based pattern offsets
     # take along axis 0 gathers the rows faster than 2-D fancy indexing
@@ -375,19 +398,29 @@ def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
     return LceIndex(seq, cap=longest_run)
 
 
-def _block_rows(budgets: np.ndarray, lo: int) -> int:
-    """Alignments in the block that starts at alignment ``lo``: the most
+def _block_rows(budgets: np.ndarray, pool: np.ndarray) -> int:
+    """Alignments in the next wide block, from the front of ``pool``, the
+    increasing ids of the wide alignments not yet searched: the most
     whose widest budget b keeps the block's table, rows x (b + 1) cells,
     within ``BLOCK_CELLS``, and at least one. ``budgets`` is the
-    ``window_budgets`` array, a zero-stride view on a solid text. The
-    rows that fit at the first budget are a bound; when they also fit at
-    the widest budget among them, as on a solid text, they are the
-    answer, with no running maximum."""
-    ahead = budgets[lo : lo + max(1, BLOCK_CELLS // (int(budgets[lo]) + 1))]
-    if (int(ahead.max()) + 1) * ahead.size <= BLOCK_CELLS:
-        return ahead.size
+    ``window_budgets`` array. No block is wider than its first row, so
+    the rows that fit at that row's budget bound the look-ahead."""
+    ahead = budgets[pool[: max(1, BLOCK_CELLS // (int(budgets[pool[0]]) + 1))]]
     widths = np.maximum.accumulate(ahead) + 1
     return max(1, int(np.count_nonzero(widths * np.arange(1, ahead.size + 1) <= BLOCK_CELLS)))
+
+
+def _merge_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The order that sorts the concatenation of ``a`` and ``b``, two
+    increasing int64 arrays with no value in common: a[i] goes to slot i
+    plus the count of b's values below it, and b[j] likewise. Unlike
+    numpy's sorts these binary searches page in no kernel code of their
+    own: a process's first int64 sort and argsort each add 256 KiB of
+    resident code (numpy 2.4, x86-64)."""
+    order = np.empty(a.size + b.size, dtype=np.int64)
+    order[b.searchsorted(a) + np.arange(a.size)] = np.arange(a.size)
+    order[a.searchsorted(b) + np.arange(b.size)] = np.arange(a.size, order.size)
+    return order
 
 
 def search(
@@ -398,36 +431,75 @@ def search(
 ) -> MatchReport:
     """Stages 2 and 3 with the index from ``prepare``, for a pattern no
     longer than the text: kangaroo jumps, then the verdict check, one
-    block of consecutive alignments at a time.
+    block of alignments at a time.
 
-    A block holds as many alignments as keep its table within
-    ``BLOCK_CELLS`` cells at the width of its own widest budget, so a
-    few dense windows shrink only the blocks around them. On a solid
-    text every block but the last has BLOCK_CELLS // (k_pattern + 1)
-    alignments. The blocks' position arrays are joined with one
-    ``np.concatenate`` per field at the end.
+    The alignments are walked in segments of BLOCK_CELLS // (k_pattern +
+    1). A segment's narrow alignments, those of budget k_pattern, run as
+    one narrow block, k_pattern + 1 columns wide; its wide alignments, of
+    larger budget, join a pool. Whenever the pool holds a full block, and
+    at the end, its front is cut off as a wide block: as many alignments
+    as keep the table within ``BLOCK_CELLS`` cells at the width of their
+    own widest budget, so a few dense windows widen only the blocks that
+    hold them, and the pool never holds more than one block's rows
+    beside one segment's. On a solid text every alignment is narrow,
+    and the blocks are the consecutive segments.
+
+    The blocks' position arrays are joined with one ``np.concatenate``
+    per field at the end. The narrow blocks' positions increase, and so
+    do the wide blocks'; when some block was wide, ``_merge_order``
+    merges the two runs once, for the exact positions, and for the
+    approximate positions with their verdicts.
     """
     budgets = window_budgets(pattern, text)
     membership = precompute_membership(pattern), precompute_membership(text)
     count = len(text) - len(pattern) + 1
-    exact, approx, verdicts, queries = [], [], [], 0
-    lo = 0
-    while lo < count:
-        block = range(lo, min(lo + _block_rows(budgets, lo), count))
-        table, block_approx = kangaroo_search(pattern, text, index, block, budgets)
-        report = filter_occurrences(
-            pattern, text, table, block_approx, diagnostics, membership
-        )
-        exact.append(report.exact_occurrences)
-        approx.append(report.approximate_occurrences)
+    k_pattern = int(np.count_nonzero(pattern.ranks >= len(pattern.alphabet)))
+    narrow, wide = [], []  # the reports of the narrow and of the wide blocks
+
+    def run(alignments, reports):
+        table, approx = kangaroo_search(pattern, text, index, alignments, budgets)
+        reports.append(filter_occurrences(
+            pattern, text, table, approx, diagnostics, membership
+        ))
+
+    def run_pool(pool, full_only):
+        while pool.size:
+            rows = _block_rows(budgets, pool)
+            if full_only and rows == pool.size:
+                break
+            run(pool[:rows], wide)
+            pool = pool[rows:]
+        return pool
+
+    segment = max(1, BLOCK_CELLS // (k_pattern + 1))
+    pool = np.empty(0, dtype=np.int64)
+    for lo in range(0, count, segment):
+        stop = min(lo + segment, count)
+        is_wide = budgets[lo:stop] > k_pattern if text.sets else None
+        if is_wide is None or not is_wide.any():
+            run(range(lo, stop), narrow)
+            continue
+        # rebound before the drain, so the previous pool's array is freed
+        pool = np.concatenate([pool, np.flatnonzero(is_wide) + lo])
+        pool = run_pool(pool, True)
+        if not is_wide.all():
+            run(np.flatnonzero(~is_wide) + lo, narrow)
+    run_pool(pool, False)
+
+    reports = narrow + wide
+    exact = np.concatenate([r.exact_occurrences for r in reports])
+    approx = np.concatenate([r.approximate_occurrences for r in reports])
+    verdicts = tuple(v for r in reports for v in r.verdicts) if diagnostics else None
+    if wide:
+        # each kind's positions increase on their own: merge the two runs
+        split = sum(r.exact_occurrences.size for r in narrow)
+        exact = exact[_merge_order(exact[:split], exact[split:])]
+        split = sum(r.approximate_occurrences.size for r in narrow)
+        order = _merge_order(approx[:split], approx[split:])
+        approx = approx[order]
         if diagnostics:
-            verdicts += report.verdicts
-        queries += report.lce_queries
-        lo = block.stop
-    return MatchReport(
-        np.concatenate(exact), np.concatenate(approx),
-        tuple(verdicts) if diagnostics else None, queries,
-    )
+            verdicts = tuple(verdicts[j] for j in order.tolist())
+    return MatchReport(exact, approx, verdicts, sum(r.lce_queries for r in reports))
 
 
 def find_occurrences(
@@ -448,10 +520,13 @@ def find_occurrences(
     depth of the pattern's longest solid run.
     Memory is the O(n + m) index plus one block's mismatch table of at
     most ``BLOCK_CELLS`` = 2^18 int32 cells (one row when a single
-    budget is wider) and that block's O(rows) round temporaries, and the
-    report's int64 arrays of 8 bytes per exact occurrence and per
-    approximate alignment; ``search`` joins them from its blocks' arrays,
-    so the peak holds both once.
+    budget is wider) and that block's O(rows) round temporaries, the
+    ids of the wide alignments waiting for a block, at most one block's
+    rows and one segment's, and the report's int64 arrays of 8 bytes per
+    exact occurrence and per approximate alignment; ``search`` joins
+    them from its blocks' arrays, so the peak holds both once, and on a
+    degenerate text with wide windows the merge order that puts them
+    back in position order, 8 bytes more per approximate alignment.
     """
     if len(pattern) == 0:
         raise EmptyPattern("pattern must contain at least one symbol")

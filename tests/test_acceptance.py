@@ -142,10 +142,11 @@ def _timed_golden_run():
 def test_criterion_2_mismatch_table_reproduction():
     table, _ = golden_stage2()
     assert table.entries.shape == (11, 3)
+    assert table.ids.tolist() == list(range(11))  # row i is alignment i
     assert table.entries.T.tolist() == GOLDEN_TABLE
-    assert table.entries[7 - table.first].tolist() == [2, 3, 5]
+    assert table.entries[7].tolist() == [2, 3, 5]
     for i in (1, 4, 10):
-        assert table.entries[i - table.first, 2] == 6
+        assert table.entries[i, 2] == 6
     print("criterion 2: PASS - full 3x11 mismatch table reproduced")
 
 
@@ -238,9 +239,10 @@ def test_criterion_7_invariant_suite(capsys, tmp_path):
         )
         pattern, text = generate_instance(spec)
         table, approx = kangaroo_search(pattern, text, prepare(pattern, text))
+        assert table.ids.tolist() == list(range(len(text) - len(pattern) + 1))
         placeholder_set = set(pattern.non_solid_positions)
         for i in approx:
-            entries = {e for e in table.entries[i - table.first].tolist() if e != table.sentinel}
+            entries = {e for e in table.entries[i].tolist() if e != table.sentinel}
             assert entries == placeholder_set
 
     # parser round-trip on randomized canonical strings

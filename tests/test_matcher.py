@@ -43,6 +43,7 @@ def pipeline(pattern, text):
     inspection."""
     index = prepare(pattern, text)
     table, approx = kangaroo_search(pattern, text, index)
+    assert table.ids.tolist() == list(range(len(text) - len(pattern) + 1))
     return index, table, approx
 
 
@@ -200,12 +201,12 @@ class TestKangarooSearch:
 
     def test_golden_column_seven(self, golden_pattern, golden_text):
         _, table, _ = pipeline(golden_pattern, golden_text)
-        assert table.entries[7 - table.first].tolist() == [2, 3, 5]
+        assert table.entries[7].tolist() == [2, 3, 5]
 
     def test_sentinel_in_approximate_columns(self, golden_pattern, golden_text):
         _, table, _ = pipeline(golden_pattern, golden_text)
         for i in (1, 4, 10):
-            assert table.entries[i - table.first, 2] == 6 == table.sentinel
+            assert table.entries[i, 2] == 6 == table.sentinel
 
     def test_solid_exact_matching(self, abcd):
         pattern = parse_solid("aa", abcd)
@@ -306,10 +307,8 @@ class TestKangarooSearch:
 
 def _blocked_search(monkeypatch, raw_pattern, bases):
     """find_occurrences of ``raw_pattern`` in the DNA/N characters ``bases``,
-    with every kangaroo_search call recorded; checks that the blocks cover
-    every alignment once, each as wide as its own widest budget b_i + 1
-    and within BLOCK_CELLS cells (or one row), and each as long as those
-    cells allow."""
+    with every kangaroo_search call recorded; checks the blocks against
+    the budgets with ``_check_blocks``."""
     searches = []
 
     def recording_search(*args, **kwargs):
@@ -320,24 +319,48 @@ def _blocked_search(monkeypatch, raw_pattern, bases):
     pattern, text = parse_iupac(raw_pattern), parse_iupac("".join(bases))
     report = find_occurrences(pattern, text)
 
-    m, count = len(raw_pattern), len(bases) - len(raw_pattern) + 1
+    m, k_p = len(raw_pattern), len(pattern.non_solid_positions)
     in_window = np.convolve(bases == "N", np.ones(m, dtype=np.int64), mode="valid")
-    budgets = np.minimum(m, len(pattern.non_solid_positions) + in_window)
-    b_max = int(budgets.max())
+    budgets = np.minimum(m, k_p + in_window)
     assert len(text.non_solid_positions) == int(np.count_nonzero(bases == "N"))
-    covered = []
-    for table, _ in searches:
-        block = range(table.first, table.first + table.alignments)
-        covered.extend(block)
-        assert table.budget == int(budgets[block.start : block.stop].max())
-        assert table.entries.shape == (len(block), table.budget + 1)
-        assert table.entries.size <= max(matcher.BLOCK_CELLS, b_max + 1)
-        if block.stop < count:
-            # one more alignment would overflow the block's cells
-            wider = int(budgets[block.start : block.stop + 1].max()) + 1
-            assert (len(block) + 1) * wider > matcher.BLOCK_CELLS
-    assert covered == list(range(count))
+    _check_blocks([table for table, _ in searches], budgets.tolist(), k_p, matcher.BLOCK_CELLS)
     return searches, report
+
+
+def _check_blocks(tables, budgets, k_pattern, cells):
+    """The blocks a search ran, in order, against its budgets: every
+    alignment lies in one block, and each block's ids increase. A narrow
+    block holds all the alignments of budget k_pattern in one segment of
+    cells // (k_pattern + 1) alignments and is k_pattern + 1 wide. The
+    wide blocks, in the order they ran, are the greedy partition of the
+    other alignments by brute force: each is as wide as its own widest
+    budget, within ``cells`` cells or one row, and one more alignment
+    would overflow it. When a narrow block runs, the wide alignments of
+    earlier segments that have not run fit in one block."""
+    count = len(budgets)
+    segment = max(1, cells // (k_pattern + 1))
+    wide = [i for i in range(count) if budgets[i] > k_pattern]
+    covered, wide_blocks, ran = [], [], set()
+    for table in tables:
+        ids = table.ids.tolist()
+        assert ids and ids == sorted(set(ids))
+        covered += ids
+        widest = max(budgets[i] for i in ids)
+        assert table.budget == widest
+        assert table.entries.shape == (len(ids), widest + 1)
+        if widest == k_pattern:
+            first = ids[0] - ids[0] % segment
+            stop = min(first + segment, count)
+            assert ids == [i for i in range(first, stop) if budgets[i] == k_pattern]
+            pending = [budgets[i] for i in wide if i < first and i not in ran]
+            assert len(_greedy_blocks(pending, cells)) <= 1
+        else:
+            assert table.entries.size <= cells or len(ids) == 1
+            wide_blocks.append(ids)
+            ran.update(ids)
+    assert sorted(covered) == list(range(count))
+    greedy = _greedy_blocks([budgets[i] for i in wide], cells)
+    assert wide_blocks == [[wide[x] for x in block] for block in greedy]
 
 
 def _block_cases():
@@ -611,18 +634,21 @@ def _greedy_blocks(budgets, cells):
 
 def _block_sizing_cases():
     """(pattern, text, cells) for the block partition check: a solid
-    text, one wide N gap, scattered placeholders, an all-N text, and a
-    gap whose budgets are wider than the cells."""
+    text, one wide N gap, scattered placeholders, an all-N text, a gap
+    whose budgets are wider than the cells, and placeholders so sparse
+    that a wide block gathers its rows from several segments."""
     rng = random.Random(21)
     solid = [rng.choice("ACGT") for _ in range(3_000)]
     gap = solid[:1_000] + ["N"] * 200 + solid[1_200:]
     scattered = [rng.choice("ACGT" * 12 + "RYN") for _ in range(3_000)]
+    sparse = [rng.choice("ACGT" * 100 + "R") for _ in range(3_000)]
     return {
         "solid": ("ACNTRGAACGTNACGT", "".join(solid), 64),
         "wide-gap": ("ACNTRGAACGTNACGTACGT", "".join(gap), 64),
         "scattered": ("ACNTRGAACGTNACGTACGT", "".join(scattered), 64),
         "all-n": ("ACNTRGAACGTNACGTACGT", "N" * 500, 64),
         "budget-over-cells": ("ACGTNCGTACGTACGTACGT", "".join(gap[900:1_400]), 8),
+        "pool-across-segments": ("ACGTNCGTACGTACGT", "".join(sparse), 256),
     }
 
 
@@ -634,15 +660,23 @@ def test_blocks_are_the_greedy_partition(monkeypatch, case):
     assert (matcher.window_budgets(pattern, text).strides == (0,)) == (case == "solid")
     assert (max(budgets) + 1 > cells) == (case == "budget-over-cells")
     monkeypatch.setattr(matcher, "BLOCK_CELLS", cells)
-    walked = []
+    walked, tables = [], []
 
     def recording_search(pattern, text, index, alignments, budgets):
         walked.append(alignments)
-        return kangaroo_search(pattern, text, index, alignments, budgets)
+        table, approx = kangaroo_search(pattern, text, index, alignments, budgets)
+        tables.append(table)
+        return table, approx
 
     monkeypatch.setattr(matcher, "kangaroo_search", recording_search)
     matcher.search(pattern, text, prepare(pattern, text))
-    assert walked == _greedy_blocks(budgets, cells)
+    _check_blocks(tables, budgets, len(pattern.non_solid_positions), cells)
+    if case == "solid":
+        # every alignment is narrow, so the blocks are consecutive ranges
+        assert walked == _greedy_blocks(budgets, cells)
+    if case == "pool-across-segments":
+        segment = cells // (len(pattern.non_solid_positions) + 1)
+        assert any(len(set((table.ids // segment).tolist())) > 1 for table in tables)
 
 
 def test_blocks_without_approximate_alignments_skip_stage_3(monkeypatch):
@@ -741,10 +775,11 @@ def test_every_table_equals_a_naive_kangaroo(monkeypatch, case, cells):
     monkeypatch.setattr(lce.LceIndex, "lce_many", recording_lce_many)
     monkeypatch.setattr(matcher, "kangaroo_search", recording_search)
     find_occurrences(pattern, text)
-    assert sum(table.alignments for table, _ in tables) == n - m + 1
+    covered = sorted(i for table, _ in tables for i in table.ids.tolist())
+    assert covered == list(range(n - m + 1))
     for (table, approx), sizes in zip(tables, calls):
         columns, queries, approximate = [], [], []
-        for i in range(table.first, table.first + table.alignments):
+        for i in table.ids.tolist():
             b = budgets[i]
             mismatches = [e for e in range(1, m + 1) if seq[i + e - 1] != seq[n + e - 1]]
             column = mismatches[: b + 1] + [m + 1] * (table.budget + 1)
@@ -763,6 +798,71 @@ def test_every_table_equals_a_naive_kangaroo(monkeypatch, case, cells):
         assert sizes == live
         assert sizes == sorted(sizes, reverse=True)
         assert sum(sizes) == table.query_count
+
+
+def _interleaved_cases():
+    """(pattern, text) pairs whose narrow and wide windows interleave:
+    scattered R/Y codes around an N run, with the pattern planted both
+    in solid windows and over text codes; an all-N text; and a solid
+    pattern, k_pattern = 0, where a narrow window holds no text code."""
+    rng = random.Random(23)
+    raw_pattern = "ACGTNACGRTACGTAC"
+    text = [rng.choice("ACGT" * 6 + "RY") for _ in range(2_000)]
+    text[700:760] = "N" * 60
+    for start in range(40, 2_000 - 16, 150):
+        text[start : start + 16] = raw_pattern.replace("N", "C").replace("R", "G")
+        if start % 300 == 190:
+            text[start + 2] = "N"
+    solid_pattern = "".join(text[340:348])
+    return {
+        "scattered-codes": (raw_pattern, "".join(text)),
+        "all-n-text": ("ACNTRGAA", "N" * 300),
+        "k-pattern-0": (solid_pattern, "".join(text)),
+    }
+
+
+def _naive_verdicts(pattern, text, budgets):
+    """Alignment -> verdicts of every approximate alignment, from a naive
+    kangaroo over the coded window: its mismatches, when at most b_i,
+    each fake iff the two sets there intersect."""
+    seq = prepare(pattern, text).seq
+    m, n = len(pattern), len(text)
+    verdicts = {}
+    for i, b in enumerate(budgets):
+        mismatches = [e for e in range(1, m + 1) if seq[i + e - 1] != seq[n + e - 1]]
+        if len(mismatches) <= b:
+            verdicts[i] = tuple(
+                FAKE if pattern.symbol_at(e).mask & text.symbol_at(i + e).mask else REAL
+                for e in mismatches
+            )
+    return verdicts
+
+
+@pytest.mark.parametrize("cells", [1, 5, 64, 1 << 18])
+@pytest.mark.parametrize("case", list(_interleaved_cases()))
+def test_wide_blocks_keep_the_report_in_position_order(monkeypatch, case, cells):
+    raw_pattern, raw_text = _interleaved_cases()[case]
+    pattern, text = parse_iupac(raw_pattern), parse_iupac(raw_text)
+    budgets = window_budgets(pattern, text)
+    k_pattern = len(pattern.non_solid_positions)
+    assert k_pattern == (0 if case == "k-pattern-0" else 2)
+    if case != "all-n-text":
+        assert min(budgets) == k_pattern < max(budgets)
+    one_table, _ = kangaroo_search(pattern, text, prepare(pattern, text))
+    naive = _naive_verdicts(pattern, text, budgets)
+    monkeypatch.setattr(matcher, "BLOCK_CELLS", cells)
+    report = find_occurrences(pattern, text, diagnostics=True)
+    exact = report.exact_occurrences.tolist()
+    approx = report.approximate_occurrences.tolist()
+    assert exact == naive_match(pattern, text)
+    # exact occurrences in narrow and in wide windows
+    assert {budgets[i - 1] > k_pattern for i in exact} == (
+        {True} if case == "all-n-text" else {False, True}
+    )
+    assert all(a < b for a, b in zip(exact, exact[1:]))
+    assert approx == sorted(naive)
+    assert report.verdicts == tuple(naive[i] for i in approx)
+    assert report.lce_queries == one_table.query_count
 
 
 class TestFilter:
@@ -819,7 +919,7 @@ class TestFilter:
             for i, verdicts in zip(approx, report.verdicts):
                 expected = tuple(
                     FAKE if pattern.symbol_at(e).mask & text.symbol_at(i + e).mask else REAL
-                    for e in table.entries[i - table.first].tolist() if e != table.sentinel
+                    for e in table.entries[i].tolist() if e != table.sentinel
                 )
                 assert verdicts == expected, spec
                 assert (i + 1 in report.exact_occurrences) == (REAL not in verdicts), spec
@@ -909,7 +1009,7 @@ class TestFindOccurrences:
         text = parse_bracket("d[cd]", abcd)
         _, table, approx = pipeline(pattern, text)
         # solid mismatch at 1, placeholder against placeholder at 2: b_0 = 2
-        assert approx.tolist() == [0] and table.entries[0 - table.first].tolist() == [1, 2, 3]
+        assert approx.tolist() == [0] and table.entries[0].tolist() == [1, 2, 3]
         report = find_occurrences(pattern, text)
         assert report.exact_occurrences.tolist() == []
         assert naive_match(pattern, text) == []
@@ -971,14 +1071,13 @@ class TestStructuralInvariants:
             _, table, approx = pipeline(pattern, text)
             expected = set(pattern.non_solid_positions)
             for i in approx:
-                entries = {e for e in table.entries[i - table.first].tolist() if e != table.sentinel}
+                entries = {e for e in table.entries[i].tolist() if e != table.sentinel}
                 assert entries == expected
 
     def test_rows_strictly_increase_until_sentinel(self):
         for pattern, text in self._random_solid_instances(60):
             _, table, _ = pipeline(pattern, text)
-            for i in range(table.alignments):
-                row = table.entries[i - table.first].tolist()
+            for row in table.entries.tolist():
                 for a, b in zip(row, row[1:]):
                     assert a < b or a == b == table.sentinel
 
@@ -986,8 +1085,8 @@ class TestStructuralInvariants:
         for pattern, text in self._random_solid_instances(60):
             index, table, _ = pipeline(pattern, text)
             n = len(text)
-            for i in range(table.alignments):
-                for e in table.entries[i - table.first].tolist():
+            for i, row in zip(table.ids.tolist(), table.entries.tolist()):
+                for e in row:
                     if e != table.sentinel:
                         assert index.seq[i + e - 1] != index.seq[n + e - 1]
 
@@ -1006,7 +1105,7 @@ class TestStructuralInvariants:
             assert index.seq.dtype == np.int32  # prepare's ranks, not a wider copy
             n = len(text)
             for i in approx:
-                entries = {e for e in table.entries[i - table.first].tolist() if e != table.sentinel}
+                entries = {e for e in table.entries[i].tolist() if e != table.sentinel}
                 window_mismatches = {
                     e for e in range(1, len(pattern) + 1)
                     if index.seq[i + e - 1] != index.seq[n + e - 1]
