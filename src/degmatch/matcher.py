@@ -143,6 +143,11 @@ class MismatchTable:
         return self.entries.shape[0]
 
 
+def _placeholder_count(s: DegenerateString) -> int:
+    """The placeholders of ``s``: k_pattern for a pattern."""
+    return int(np.count_nonzero(s.ranks >= len(s.alphabet)))
+
+
 def window_budgets(pattern: DegenerateString, text: DegenerateString) -> np.ndarray:
     """The kangaroo budget b_i = min(m, k_pattern + t_i) of every
     alignment i, where t_i counts the text placeholders inside window i,
@@ -150,7 +155,7 @@ def window_budgets(pattern: DegenerateString, text: DegenerateString) -> np.ndar
     every b_i is k_pattern, and the array is a read-only zero-stride view
     of that one value."""
     m, n = len(pattern), len(text)
-    k_pattern = int(np.count_nonzero(pattern.ranks >= len(pattern.alphabet)))
+    k_pattern = _placeholder_count(pattern)
     if not text.sets:
         return np.broadcast_to(np.int32(k_pattern), (n - m + 1,))
     placeholders = np.zeros(n + 1, dtype=np.int32)
@@ -217,7 +222,7 @@ def kangaroo_search(
         budgets = budgets[ids]
     count = ids.size
     k = int(budgets.max(initial=0))  # an empty block gives a 0-row table
-    k_pattern = int(np.count_nonzero(pattern.ranks >= len(pattern.alphabet)))
+    k_pattern = _placeholder_count(pattern)
 
     # While no alignment of the block has retired a round writes its row
     # whole, as one slice, which costs a tenth of a scatter; after that it
@@ -453,7 +458,7 @@ def search(
     budgets = window_budgets(pattern, text)
     membership = precompute_membership(pattern), precompute_membership(text)
     count = len(text) - len(pattern) + 1
-    k_pattern = int(np.count_nonzero(pattern.ranks >= len(pattern.alphabet)))
+    k_pattern = _placeholder_count(pattern)
     narrow, wide = [], []  # the reports of the narrow and of the wide blocks
 
     def run(alignments, reports):
