@@ -39,6 +39,18 @@ inside one block width take the short table's instead. Two suffixes in
 one group share at least ``cap`` symbols; the LCE of two suffixes in
 different groups is the minimum boundary LCP between their groups.
 Either way a pair costs O(1).
+
+A caller may also name runs: start offsets s with lengths l such that
+no queried pair (i, s) matches the symbol after the run, as the solid
+runs of a pattern between its placeholders. The build then finds each
+run's LCP interval, the LCP-interval property of Abouelhoda, Kurtz and
+Ohlebusch (2004): the widest range of groups around the group of s whose
+boundary LCPs are all at least l, one pass over the boundary LCPs per
+run. A pair (i, s) with the group of i in that range shares the whole
+run, so its LCE is l, found with one rank gather and one binary search
+over the runs' interval bounds, two per run, without a range minimum.
+That answers every whole-run kangaroo jump; the other pairs take the
+range minimum as above.
 """
 import numpy as np
 
@@ -351,15 +363,45 @@ def _block_range_min(
     inner = first <= last
     np.minimum(out, _range_min(block_table, first, last), out=out, where=inner)
     short = np.flatnonzero(hi - lo < _BLOCK)
-    lo, hi = lo[short], hi[short]
-    out[short] = np.where(lo <= hi, _range_min(short_table, lo, hi), empty)
+    if short.size:
+        lo, hi = lo[short], hi[short]
+        out[short] = np.where(lo <= hi, _range_min(short_table, lo, hi), empty)
     return out
+
+
+def _run_intervals(
+    lcp: np.ndarray, groups: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The widest range of groups [lo, hi] around each group ``groups[r]``
+    whose boundary LCPs ``lcp[lo + 1 .. hi]`` are all at least
+    ``lengths[r]`` >= 1: the groups whose suffixes share that many
+    symbols with the ones in group ``groups[r]``, its LCP interval in the
+    sense of Abouelhoda, Kurtz and Ohlebusch. ``lcp[0]`` = 0 ends every
+    range below. Each entry compares the D boundary LCPs once, the ones
+    below the group read backwards, into one reused bool array, and takes
+    the first short boundary each way."""
+    lo = np.empty(groups.size, dtype=np.int32)
+    hi = np.empty_like(lo)
+    if groups.size == 0:
+        return lo, hi
+    short = np.empty(lcp.size, dtype=bool)
+    last = lcp.size - 1
+    for r, (group, length) in enumerate(zip(groups.tolist(), lengths.tolist())):
+        below = short[: group + 1]
+        np.less(lcp[group::-1], length, out=below)
+        lo[r] = group - int(below.argmax())
+        # a short boundary past the last group ends the range there
+        above = short[: last - group + 1]
+        np.less(lcp[group + 1 :], length, out=above[:-1])
+        above[-1] = True
+        hi[r] = group + int(above.argmax())
+    return lo, hi
 
 
 class LceIndex:
     """Longest-common-extension index over a rank sequence.
 
-    It checks none of its three preconditions:
+    It checks none of its four preconditions:
 
     - ``seq``, non-negative integer ranks, ends with its only separator, so
       every extension stops at a symbol difference;
@@ -367,14 +409,24 @@ class LceIndex:
       otherwise and never above the LCE: in an order sorted by
       cap-prefixes, the capped LCE of two suffixes is the smallest capped
       LCP between them. A cap of the length makes every answer exact;
-    - every queried pair is two distinct offsets inside ``seq``.
+    - every queried pair is two distinct offsets inside ``seq``;
+    - ``runs``, when given, is a pair of increasing start offsets s and
+      lengths l, from 1 up to ``cap``, of runs that each end before a
+      symbol t = seq[s + l] that no pair asks about: every queried pair
+      (i, s) has seq[i + l] != t, so its LCE is at most l. A pair (i, s)
+      whose LCE reaches l then gets exactly l, as above.
 
     ``matcher.prepare`` indexes text + pattern + one separator sigma + 2,
     which no other symbol takes, capped at the pattern's longest solid run
     R. The kangaroo loop asks for offset i + f <= n, for alignment
     i <= n - m and 0 <= f <= m, against pattern offset n + f <= n + m:
     two distinct offsets, whose LCE ends within R, at a pattern
-    placeholder or at the separator, so every answer is exact.
+    placeholder or at the separator, so every answer is exact. Its runs
+    are the pattern's non-empty solid runs, each ended by a pattern
+    placeholder, coded sigma + 1, or, the last one, by the separator; the
+    text offsets i + f + l <= n that the loop compares with them hold
+    neither code, and offset n is the pattern's first symbol, which is
+    not the separator.
 
     The index keeps the ranks as int32, without a copy when ``seq`` is
     already a contiguous int32 array, and the 64-bit word of codes that
@@ -382,27 +434,41 @@ class LceIndex:
     empty until a pair first needs it: ``suffix_order``, the suffixes in
     the order of their capped prefixes; ``rank``, each suffix's group id,
     its last-round name; ``lcp``, the LCP at each of the D group
-    boundaries; and the range-minimum tables over ``lcp``. Only that
-    build and the word budget change after construction. The order and
-    the group ids are O(L); the boundary LCPs and the range-minimum
-    tables are O(D). D = L when the capped prefixes are all distinct, as
-    on random text or at a cap of the length. The build holds only the
-    current doubling round's names and boundary LCPs, so its memory is
-    O(L) whatever the number of rounds: at L = 2^19 + 1 its
-    ``tracemalloc`` peak is about 33 bytes per symbol on repetitive text,
-    where the sort sets it, and 42 on random text, where D = L and the
-    range-minimum tables set it.
+    boundaries; the range-minimum tables over ``lcp``; and each run's
+    LCP interval, the range of groups whose suffixes share the whole run
+    with its start, kept as two int64 bounds per run. Only that build and
+    the word budget change after construction. The order and the group
+    ids are O(L); the boundary LCPs and the range-minimum tables are
+    O(D); the runs take O(k) for their k entries, and their intervals
+    cost one pass over the D boundary LCPs each, with one bool array of
+    D bytes, made before the range-minimum tables. D = L when the capped
+    prefixes are all distinct, as on random text or at a cap of the
+    length. The build holds only the current doubling round's names and
+    boundary LCPs, so its memory is O(L) whatever the number of rounds:
+    at L = 2^19 + 1 its ``tracemalloc`` peak is about 33 bytes per symbol
+    on period-2 text, where the sort sets it, and 42 on random text,
+    where D = L and the range-minimum tables set it, with or without
+    runs.
     """
 
     __slots__ = (
         "seq", "cap", "suffix_order", "rank", "lcp",
         "_short", "_prefix_min", "_suffix_min", "_block_table",
         "_words", "_shift", "_word_budget",
+        "_run_start", "_run_answer", "_run_bounds",
     )
 
-    def __init__(self, seq, cap: int):
+    def __init__(self, seq, cap: int, runs=((), ())):
         self.seq = arr = np.ascontiguousarray(seq, dtype=np.int32)
         self.cap = cap
+        starts, lengths = runs
+        self._run_start = np.array(starts, dtype=np.int64)
+        # the answer by the count of run bounds at or below a pair's key:
+        # run r's length after 2r + 1 of them, 0 (no run) otherwise
+        self._run_answer = np.zeros(2 * self._run_start.size + 1, dtype=np.int32)
+        self._run_answer[1::2] = lengths
+        self._run_bounds = np.empty(0, dtype=np.int64)
+        self._run_start.flags.writeable = self._run_answer.flags.writeable = False
         top = int(arr.max())
         width, self._shift = (1, 3) if top < 1 << 8 else (2, 4) if top < 1 << 16 else (4, 5)
         # big-endian codes, then one word of zero codes as padding, so the
@@ -423,11 +489,18 @@ class LceIndex:
         """Suffix order, group ids, boundary LCP array and range-minimum
         tables."""
         order, rank, self.lcp = _suffix_array(self._words, self._shift, self.cap)
+        # before the range-minimum tables, so that the intervals' bool
+        # array is not allocated beside them, where random text peaks
+        lo, hi = _run_intervals(self.lcp, rank.take(self._run_start), self._run_answer[1::2])
+        self._run_bounds = np.empty(2 * lo.size, dtype=np.int64)
+        self._run_bounds[0::2] = self._run_start << 32 | lo
+        self._run_bounds[1::2] = self._run_start << 32 | hi + 1
         self._build_rmq()
         self.suffix_order, self.rank = order, rank
         for a in (
             self.suffix_order, self.rank, self.lcp,
             self._short, self._prefix_min, self._suffix_min, self._block_table,
+            self._run_bounds,
         ):
             a.flags.writeable = False
 
@@ -445,19 +518,44 @@ class LceIndex:
         """LCE of each pair of distinct offsets from their group ids; builds
         the index first if needed.
 
-        A pair in one group shares its last-round prefix, at least ``cap``
-        long, and gets ``cap``. A pair in two groups gets the range minimum
-        of the boundary LCP array over the boundaries between them.
+        A pair (i, j) whose j starts a run, and whose i lies in a group of
+        the run's interval [lo, hi], shares the whole run, so by the runs'
+        precondition its LCE is the run's length. Its key
+        j * 2^32 + rank[i] then lies from the run's lower bound
+        j * 2^32 + lo up to below its upper bound j * 2^32 + hi + 1, and
+        one binary search over all the runs' bounds, sorted since the
+        starts increase, finds them: an odd count of bounds at or below
+        the key names the run.
+        That answers the whole-run jumps of a kangaroo search with one
+        rank gather and no range minimum. Every other pair takes the
+        group ids: a pair in one group shares its last-round prefix, at
+        least ``cap`` long, and gets ``cap``; a pair in two groups gets the
+        range minimum of the boundary LCP array over the boundaries
+        between them. Those pairs reuse the rank gather of the run test.
         """
         if self.suffix_order.size == 0:
             self._build()
         ra = self.rank[i]
+        out = None
+        if self._run_bounds.size:
+            key = np.left_shift(j, 32, dtype=np.int64)
+            key |= ra
+            out = self._run_answer.take(self._run_bounds.searchsorted(key, side="right"))
+            rest = np.flatnonzero(out == 0)
+            if rest.size == 0:
+                return out
+            if rest.size < ra.size:
+                ra, j = ra[rest], j[rest]
         rb = self.rank[j]
         lo = np.minimum(ra, rb)
         lo += 1
         hi = np.maximum(ra, rb, out=ra)
         tables = self._short, self._prefix_min, self._suffix_min, self._block_table
-        return _block_range_min(tables, lo, hi, self.cap)
+        answer = _block_range_min(tables, lo, hi, self.cap)
+        if out is None or rest.size == out.size:
+            return answer
+        out[rest] = answer
+        return out
 
     def lce_many(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Longest common prefix of the suffixes at offsets ``i[x]`` and

@@ -26,7 +26,14 @@ of LCE queries each, over the alignments still live; each keeps its
 running text and pattern offsets. Since b_i >= k_pattern and each of
 the first k_pattern jumps stops at or before a pattern placeholder, no
 alignment retires before round k_pattern, and on a solid text none
-retires at all.
+retires at all. A jump that starts at the first symbol of a pattern run,
+a solid stretch between placeholders, and stops at or before the run's
+end is a whole-run jump when it reaches that end; on repetitive text
+nearly every jump that the index answers is one. ``prepare`` hands the
+index each run's start and length, and the index answers such a jump
+from the run's suffix interval, with one rank gather, instead of a range
+minimum. A jump that restarts inside a run, after a text placeholder,
+takes the range minimum.
 
 Three entry points run the stages: ``prepare`` builds the LCE index over
 both strings' codes, ``search`` runs stages 2 and 3 with that index, and
@@ -378,7 +385,7 @@ _filter_general = filter_occurrences
 
 def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
     """The LCE index over text + pattern + separator, capped at the
-    pattern's longest solid run R.
+    pattern's longest solid run R, with the pattern's runs.
 
     Every text placeholder gets the code sigma, every pattern placeholder
     sigma + 1 and the separator sigma + 2, so a placeholder mismatches
@@ -387,6 +394,14 @@ def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
     the pattern stops within R, at the next pattern placeholder or at the
     separator. The capped index answers exactly below R, at least R
     otherwise and never above the LCE, so it answers all of them exactly.
+
+    The runs are the pattern's non-empty solid stretches, each ended by a
+    placeholder or, the last one, by the separator: their offsets
+    n + s_r in the index and their lengths l_r <= R, O(k_pattern) of
+    each, from the placeholder offsets. By the same argument the LCE of
+    a text offset and a run start is at most l_r, which is the index's
+    precondition for answering a whole-run jump from the run's suffix
+    interval.
     """
     sigma = len(pattern.alphabet)
     # seq is allocated before the substituted strings, so their
@@ -398,9 +413,15 @@ def prepare(pattern: DegenerateString, text: DegenerateString) -> LceIndex:
         substitute(pattern, sigma + 1),
         np.asarray([sigma + 2], dtype=np.int32),
     ], out=seq)
-    placeholders = np.flatnonzero(pattern.ranks >= sigma)
-    longest_run = int(np.diff(placeholders, prepend=-1, append=len(pattern)).max()) - 1
-    return LceIndex(seq, cap=longest_run)
+    # each run ends at a placeholder or, the last one, at the separator
+    ends = np.flatnonzero(pattern.ranks >= sigma)
+    ends = np.append(ends, len(pattern))
+    lengths = np.diff(ends, prepend=-1)
+    lengths -= 1
+    solid = np.flatnonzero(lengths)
+    starts = ends[solid] - lengths[solid]
+    starts += len(text)
+    return LceIndex(seq, cap=int(lengths.max()), runs=(starts, lengths[solid]))
 
 
 def _block_rows(budgets: np.ndarray, pool: np.ndarray) -> int:

@@ -546,6 +546,89 @@ def test_period_3_text_builds_in_few_rounds(key_layouts):
     assert_capped(expected, idx._index_lce(ii, ii + 3), 1_000)
 
 
+def _layout(text, pattern, sigma):
+    """Text + pattern + separator, coded as ``matcher.prepare`` codes them:
+    a text placeholder is sigma, a pattern placeholder sigma + 1 and the
+    separator sigma + 2. Returns that sequence, the text length, and the
+    offset and length of every pattern run, each solid stretch that a
+    placeholder or the separator ends."""
+    starts, lengths, start = [], [], 0
+    for f, code in enumerate(pattern + [sigma + 1]):
+        if code == sigma + 1:
+            if f > start:
+                starts.append(len(text) + start)
+                lengths.append(f - start)
+            start = f + 1
+    return text + pattern + [sigma + 2], len(text), starts, lengths
+
+
+def _run_layouts():
+    rng = random.Random(24)
+    random_text = [rng.choice([0, 1, 2, 3, 3, 4]) for _ in range(150)]
+    random_pattern = [rng.choice([0, 1, 2, 3, 5]) for _ in range(30)]
+    period_3 = [p % 3 for p in range(200)]
+    for p in (50, 51, 120):
+        period_3[p] = 3
+    pattern_3 = [p % 3 for p in range(40)]
+    for p in (0, 12, 13):  # a leading placeholder and an empty run
+        pattern_3[p] = 4
+    return {
+        "random": _layout(random_text, random_pattern, 4),
+        "period-3": _layout(period_3, pattern_3, 3),
+        # every text suffix shares the runs, down to group 0
+        "all-A": _layout([0] * 150, [0] * 10 + [2] + [0] * 19, 1),
+        # two runs of cap, and a trailing placeholder
+        "period-2": _layout([p % 2 for p in range(120)], ([0, 1] * 6 + [3]) * 2, 2),
+    }
+
+
+RUN_LAYOUTS = _run_layouts()
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["cap-of-longest-run", "cap-of-length"])
+@pytest.mark.parametrize("name", sorted(RUN_LAYOUTS))
+def test_run_intervals_hold_the_groups_that_share_the_run(name, exact):
+    seq, n, starts, lengths = RUN_LAYOUTS[name]
+    cap = len(seq) if exact else max(lengths)
+    idx = LceIndex(seq, cap, runs=(starts, lengths))
+    idx._build()
+    lo, hi = lce._run_intervals(idx.lcp, idx.rank[starts], np.array(lengths))
+    shared = lce_matrix(seq)
+    for s, length, a, b in zip(starts, lengths, lo.tolist(), hi.tolist()):
+        # the groups of the suffixes that share the whole run with its start
+        assert set(idx.rank[shared[:, s] >= length].tolist()) == set(range(a, b + 1))
+    if name == "all-A":
+        assert lo.min() == 0
+    # what a kangaroo jump asks at a run start, from every alignment a,
+    # is exact: from the run's interval or from the range minimum
+    m = len(seq) - 1 - n
+    ii = np.add.outer(np.arange(n - m + 1), np.array(starts) - n).ravel()
+    jj = np.broadcast_to(np.array(starts), (n - m + 1, len(starts))).ravel()
+    assert np.array_equal(idx._index_lce(ii, jj), shared[ii, jj])
+
+
+def test_run_intervals_reach_both_ends():
+    # the widest range of groups around each group whose boundary LCPs
+    # are all at least the length, against every range that qualifies
+    rng = random.Random(5)
+    ends = set()
+    for _ in range(300):
+        size = rng.randint(1, 12)
+        lcp = [0] + [rng.randint(0, 4) for _ in range(size - 1)]
+        groups = [rng.randrange(size) for _ in range(3)]
+        lengths = [rng.randint(1, 4) for _ in range(3)]
+        lo, hi = lce._run_intervals(
+            np.array(lcp, dtype=np.int32), np.array(groups), np.array(lengths)
+        )
+        for g, length, a, b in zip(groups, lengths, lo.tolist(), hi.tolist()):
+            def shares(x, y):
+                return min(lcp[x + 1 : y + 1], default=length) >= length
+            assert a == min(x for x in range(g + 1) if shares(x, g))
+            assert b == max(y for y in range(g, size) if shares(g, y))
+            ends.update(["first"] * (a == 0) + ["last"] * (b == size - 1))
+    assert ends == {"first", "last"}
+
+
 def build_peak(seq, cap):
     """``tracemalloc`` peak of one suffix index build, in bytes per symbol."""
     idx = LceIndex(seq, cap)

@@ -22,6 +22,7 @@ from degmatch import (
     parse_solid,
 )
 from degmatch.matcher import (
+    _placeholder_count,
     filter_occurrences,
     kangaroo_search,
     precompute_membership,
@@ -445,6 +446,42 @@ def _naive_lce_many(seq, i, j):
     return q
 
 
+def _run_table_cases():
+    """Named (raw pattern, raw text, builds the suffix index) triples for
+    the index's table of pattern runs, the solid stretches between
+    placeholders: periodic and all-``A`` texts whose long extensions
+    outrun the word budget."""
+
+    def acg(m, placeholders=()):
+        raw = list(("ACG" * m)[:m])
+        for p in placeholders:
+            raw[p] = "N"
+        return "".join(raw)
+
+    scattered = list(acg(2_100))
+    for p in random.Random(7).sample(range(len(scattered)), 40):
+        scattered[p] = "N"
+    return {
+        "leading-placeholder": (acg(61, [0]), acg(2_100), True),
+        "trailing-placeholder": (acg(61, [60]), acg(2_100), True),
+        # the empty run between the two Ns has no table entry
+        "adjacent-placeholders": (acg(45, [21, 22]), acg(2_100), True),
+        # one run of m, which ends at the separator
+        "no-placeholder": (acg(45), acg(2_100), True),
+        "all-A-no-placeholder": ("A" * 40, "A" * 2_000, True),
+        # no run and cap 0: every pair is answered by one word
+        "all-placeholders": ("NNNN", acg(2_100), False),
+        # the first run is cap = 16 long, and at h = 16 the text's all-A
+        # suffixes share the group of its 16-prefix
+        "run-of-cap": ("A" * 16 + "N" + "A" * 10, "A" * 2_000, True),
+        # after a text N, a jump restarts in the middle of a run
+        "scattered-text-N": (acg(96, [30, 61, 92]), "".join(scattered), True),
+    }
+
+
+RUN_TABLE_CASES = _run_table_cases()
+
+
 def test_every_lce_query_meets_the_index_contract(monkeypatch):
     # LceIndex checks none of its preconditions; this test holds every
     # pair a search asks for to them, and every answer to the naive LCE
@@ -453,24 +490,32 @@ def test_every_lce_query_meets_the_index_contract(monkeypatch):
 
     def recording_lce_many(index, i, j):
         got = lce_many(index, i, j)
-        calls.append((index.seq, np.array(i), np.array(j), got.copy()))
+        calls.append((index, np.array(i), np.array(j), got.copy()))
         return got
 
     monkeypatch.setattr(lce.LceIndex, "lce_many", recording_lce_many)
-    cases = list(_block_cases())
+    cases = [(pattern, text, None) for pattern, text in _block_cases()]
     cases += [
-        tuple(parse_iupac(raw) for raw in _in_phase(run, text_ns))
+        (*(parse_iupac(raw) for raw in _in_phase(run, text_ns)), None)
         for run in (9, 65) for text_ns in (0, 300)
     ]
-    cases.append((parse_iupac("ACNTNA"), parse_iupac("ACGTTA")))  # m = n
-    for pattern, text in cases:
+    cases.append((parse_iupac("ACNTNA"), parse_iupac("ACGTTA"), None))  # m = n
+    cases += [
+        (parse_iupac(raw_pattern), parse_iupac(raw_text), builds)
+        for raw_pattern, raw_text, builds in RUN_TABLE_CASES.values()
+    ]
+    for pattern, text, builds in cases:
         calls.clear()
-        find_occurrences(pattern, text)
+        report = find_occurrences(pattern, text)
         n, m = len(text), len(pattern)
         seq = prepare(pattern, text).seq
         separator = len(pattern.alphabet) + 2
         assert calls
-        for indexed, i, j, got in calls:
+        if builds is not None:
+            assert (calls[-1][0].suffix_order.size > 0) == builds
+            assert report.exact_occurrences.tolist() == naive_match(pattern, text)
+        for index, i, j, got in calls:
+            indexed = index.seq
             assert np.array_equal(indexed, seq)
             assert seq[-1] == separator and np.count_nonzero(seq == separator) == 1
             # a text offset against a pattern offset, or, after the last
@@ -479,6 +524,33 @@ def test_every_lce_query_meets_the_index_contract(monkeypatch):
             assert np.all(j[i == n] == n + m)
             assert np.array_equal(got, _naive_lce_many(seq, i, j))
             assert np.all(got <= n + m - j)
+
+
+def test_whole_run_jumps_skip_the_range_minimum(monkeypatch):
+    # on a solid period-3 text every pair that reaches the suffix index
+    # starts a pattern run and matches the text to the run's end, so the
+    # run's suffix interval answers it; a change that sends such pairs
+    # back to the range-minimum query fails here instead of only getting
+    # slower
+    pattern, text = (parse_iupac(raw) for raw in _in_phase(75, 0))
+    assert len(pattern) == 303 and _placeholder_count(pattern) == 3
+    index = prepare(pattern, text)
+    index._build()  # the build's boundary LCPs may take range minima
+    indexed = []
+    index_lce = lce.LceIndex._index_lce
+
+    def recording_index_lce(self, i, j):
+        indexed.append(i.size)
+        return index_lce(self, i, j)
+
+    def refuse(*args):
+        raise AssertionError("a whole-run jump reached the range-minimum query")
+
+    monkeypatch.setattr(lce.LceIndex, "_index_lce", recording_index_lce)
+    monkeypatch.setattr(lce, "_block_range_min", refuse)
+    report = matcher.search(pattern, text, index)
+    assert sum(indexed) > 0
+    assert report.exact_occurrences.tolist() == naive_match(pattern, text)
 
 
 def _fibonacci_word(length):
