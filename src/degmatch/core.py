@@ -7,9 +7,18 @@ form the search reads (stage 1): one rank per position, where each
 distinct non-solid set of the string gets one placeholder rank past the
 alphabet, plus the masks of those distinct sets. Positions are 1-based in
 every public interface.
+
+The parsers do stage 1 as they read. Each syntax (IUPAC codes, and the
+solid characters of one alphabet) has a 256-byte ``bytes.translate``
+table, built once from its per-character rule. ASCII text becomes its
+ranks in one translate and a few more C-level passes, and the rule runs
+once per table, not once per distinct character of each text.
 """
 
-from typing import Iterable, Iterator
+import bisect
+import functools
+import itertools
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -273,35 +282,97 @@ def _pack(alphabet: Alphabet, masks: list[int], codes: np.ndarray) -> Degenerate
     sets = sorted({mk for mk in masks if mk.bit_count() > 1})
     rank = {mk: r for r, mk in enumerate(sets, len(alphabet))}
     ranks = np.array([rank.get(mk, mk.bit_length() - 1) for mk in masks], dtype=np.int32)[codes]
+    return _string(alphabet, ranks, sets)
+
+
+def _string(alphabet: Alphabet, ranks: np.ndarray, sets) -> DegenerateString:
+    """The string of int32 ``ranks`` and ``sets``, with ``ranks`` made read-only."""
     ranks.flags.writeable = False
     s = DegenerateString.__new__(DegenerateString)
     s.alphabet, s.ranks, s.sets = alphabet, ranks, tuple(sets)
     return s
 
 
-def _parse_characters(text: str, alphabet: Alphabet, mask_of, error, what) -> DegenerateString:
-    """One symbol per character of ``text``. ``mask_of`` runs once per
-    distinct character and gives its set, or None when the character is
-    invalid; the first invalid character in text order raises ``error``.
+# Code of a byte that no symbol reads, in every translate table.
+_INVALID = 255
 
-    ASCII text, all sequence data, finds its distinct characters with a
-    128-entry table instead of a sort: one pass, and no temporaries
-    beyond the bytes and the codes. Other text sorts its code points."""
-    if text.isascii():
-        points = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        table = np.zeros(128, dtype=np.intp)
-        table[points] = 1
-        distinct = np.flatnonzero(table)
-        table[distinct] = np.arange(distinct.size)
-        codes = table[points]
-    else:
-        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        distinct, codes = np.unique(points, return_inverse=True)
-    masks = [mask_of(chr(c)) for c in distinct.tolist()]
+
+class _Syntax(NamedTuple):
+    """How a parser reads single characters. ``mask_of`` gives a
+    character's set, or None when the character is invalid, which raises
+    ``error`` with the message ``what``. ``table`` is the 256-byte
+    ``bytes.translate`` table of ASCII text: a byte maps to its base rank
+    when its set is solid, to sigma + d when its set is ``sets[d]``, and to
+    ``_INVALID`` when it is invalid. ``sets`` holds the ASCII characters'
+    distinct non-solid sets in increasing mask order. ``table`` is None
+    when sigma + len(sets) codes do not all fit below ``_INVALID``."""
+
+    mask_of: Callable[[str], int | None]
+    error: type
+    what: str
+    table: bytes | None
+    sets: tuple[int, ...]
+
+
+def _syntax(sigma: int, mask_of, error, what) -> _Syntax:
+    """The syntax of ``mask_of`` over an alphabet of ``sigma`` symbols;
+    its table calls ``mask_of`` once per ASCII character."""
+    masks = [mask_of(chr(b)) for b in range(128)]
+    sets = sorted({mk for mk in masks if mk is not None and mk.bit_count() > 1})
+    code = {mk: r for r, mk in enumerate(sets, sigma)}
+    codes = [_INVALID if mk is None else code.get(mk, mk.bit_length() - 1) for mk in masks]
+    table = bytes(codes).ljust(256, bytes([_INVALID])) if sigma + len(sets) <= _INVALID else None
+    return _Syntax(mask_of, error, what, table, tuple(sets))
+
+
+@functools.lru_cache(maxsize=16)
+def _solid_syntax(alphabet: Alphabet) -> _Syntax:
+    """The syntax of ``parse_solid``, built once per alphabet: a character
+    case-folds onto one alphabet member, or is unknown."""
+
+    def mask_of(c):
+        folded = alphabet.fold(c)
+        return None if folded is None else 1 << alphabet.rank(folded)
+
+    return _syntax(len(alphabet), mask_of, UnknownCharacter, "unknown character")
+
+
+def _invalid(syntax: _Syntax, text: str, p: int) -> ParseError:
+    """The error of ``syntax`` for the invalid character at index ``p``."""
+    return syntax.error(f"{syntax.what} {text[p]!r} at position {p + 1}", p + 1)
+
+
+def _parse_characters(text: str, alphabet: Alphabet, syntax: _Syntax) -> DegenerateString:
+    """One symbol per character of ``text``, read by ``syntax``; the first
+    invalid character in text order raises ``syntax.error``.
+
+    ASCII text, all sequence data, is stage 1 in one ``bytes.translate``
+    through the syntax's table: every character becomes its rank, or a
+    provisional placeholder sigma + d for the table's set d. One numpy
+    ``max`` tells solid text from text with sets or invalid characters; a
+    ``memchr`` per placeholder code up to the max finds the sets the text
+    holds, and a second translate closes the gaps between their codes, so
+    ``sets`` keeps increasing mask order. ``mask_of`` runs once per table,
+    not once per parse. Other text sorts its code points and calls
+    ``mask_of`` once per distinct character."""
+    table, sigma = syntax.table, len(alphabet)
+    if table is not None and text.isascii():
+        codes = text.encode("ascii").translate(table)
+        top = int(np.frombuffer(codes, dtype=np.uint8).max(initial=0))
+        if top == _INVALID:
+            raise _invalid(syntax, text, codes.index(_INVALID))
+        held = [d for d in range(top + 1 - sigma) if sigma + d in codes]
+        if len(held) < top + 1 - sigma:
+            placed = bytes(range(sigma, sigma + len(held)))
+            codes = codes.translate(bytes.maketrans(bytes(sigma + d for d in held), placed))
+        ranks = np.frombuffer(codes, dtype=np.uint8).astype(np.int32)
+        return _string(alphabet, ranks, [syntax.sets[d] for d in held])
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    distinct, codes = np.unique(points, return_inverse=True)
+    masks = [syntax.mask_of(chr(c)) for c in distinct.tolist()]
     if None in masks:
         invalid = [d for d, mk in enumerate(masks) if mk is None]
-        first = int(np.flatnonzero(np.isin(codes, invalid))[0])
-        raise error(f"{what} {text[first]!r} at position {first + 1}", first + 1)
+        raise _invalid(syntax, text, int(np.flatnonzero(np.isin(codes, invalid))[0]))
     return _pack(alphabet, masks, codes)
 
 
@@ -311,50 +382,60 @@ def parse_bracket(text: str, alphabet: Alphabet) -> DegenerateString:
     A bare character is a solid symbol; ``[xyz]`` is a set. Whitespace and
     commas inside a group are skipped, duplicate members collapse, and a
     singleton group normalizes to a solid symbol.
+
+    ``str.find`` finds the groups, whose members are read one at a time.
+    The bare runs between them are joined and parsed in one call, as
+    ``parse_solid`` text; the groups' ranks are then inserted among theirs.
+    The first error in text order is raised: a bare one before the first
+    failing group, else that group's.
     """
-    masks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "[":
-            start = i + 1  # 1-based position of '['
-            mask = 0
-            i += 1
-            while i < n and text[i] != "]":
-                m = text[i]
-                if m.isspace() or m == ",":
-                    i += 1
-                    continue
-                folded = alphabet.fold(m)
-                if folded is None:
-                    raise UnknownCharacter(
-                        f"unknown character {m!r} at position {i + 1}", i + 1
-                    )
-                mask |= 1 << alphabet.rank(folded)
-                i += 1
-            if i >= n:
-                raise UnclosedBracket(f"bracket opened at position {start} is never closed", start)
-            if mask == 0:
-                raise EmptyBracket(f"empty bracket group at position {start}", start)
-            masks.append(mask)
-            i += 1
+    syntax = _solid_syntax(alphabet)
+    runs, groups, failure = [], [], None
+    i = 0
+    while (j := text.find("[", i)) >= 0:
+        runs.append((i, j))
+        k = text.find("]", j)
+        mask = 0
+        for p in range(j + 1, k if k >= 0 else len(text)):
+            m = text[p]
+            if m.isspace() or m == ",":
+                continue
+            member = syntax.mask_of(m)
+            if member is None:
+                failure = _invalid(syntax, text, p)
+                break
+            mask |= member
         else:
-            folded = alphabet.fold(c)
-            if folded is None:
-                raise UnknownCharacter(f"unknown character {c!r} at position {i + 1}", i + 1)
-            masks.append(1 << alphabet.rank(folded))
-            i += 1
-    return _pack(alphabet, masks, np.arange(len(masks)))
+            if k < 0:
+                failure = UnclosedBracket(f"bracket opened at position {j + 1} is never closed",
+                                          j + 1)
+            elif mask == 0:
+                failure = EmptyBracket(f"empty bracket group at position {j + 1}", j + 1)
+        if failure is not None:
+            break
+        groups.append(mask)
+        i = k + 1
+    else:
+        runs.append((i, len(text)))
+    before = list(itertools.accumulate((j - i for i, j in runs), initial=0))
+    try:
+        bare = _parse_characters("".join(text[i:j] for i, j in runs), alphabet, syntax)
+    except UnknownCharacter as err:
+        r = bisect.bisect_right(before, err.position - 1) - 1
+        raise _invalid(syntax, text, runs[r][0] + err.position - 1 - before[r]) from None
+    if failure is not None:
+        raise failure
+    if not groups:
+        return bare
+    sets = sorted({mk for mk in groups if mk.bit_count() > 1})
+    rank = {mk: r for r, mk in enumerate(sets, len(alphabet))}
+    codes = [rank.get(mk, mk.bit_length() - 1) for mk in groups]
+    return _string(alphabet, np.insert(bare.ranks, before[1:-1], codes), sets)
 
 
 def parse_solid(text: str, alphabet: Alphabet) -> DegenerateString:
     """Parse a plain string of alphabet characters (every symbol solid)."""
-
-    def mask_of(c):
-        folded = alphabet.fold(c)
-        return None if folded is None else 1 << alphabet.rank(folded)
-
-    return _parse_characters(text, alphabet, mask_of, UnknownCharacter, "unknown character")
+    return _parse_characters(text, alphabet, _solid_syntax(alphabet))
 
 
 def format_bracket(s: DegenerateString) -> str:
@@ -376,10 +457,11 @@ IUPAC_CODES = {
 
 DNA_ALPHABET = Alphabet("ACGT")
 _IUPAC_MASKS = {c: DegenerateSymbol.of(DNA_ALPHABET, m).mask for c, m in IUPAC_CODES.items()}
+_IUPAC = _syntax(
+    len(DNA_ALPHABET), lambda c: _IUPAC_MASKS.get(c.upper()), UnknownCode, "unknown IUPAC code"
+)
 
 
 def parse_iupac(text: str) -> DegenerateString:
     """Parse IUPAC nucleotide codes (case-insensitive) over {A, C, G, T}."""
-    return _parse_characters(
-        text, DNA_ALPHABET, lambda c: _IUPAC_MASKS.get(c.upper()), UnknownCode, "unknown IUPAC code"
-    )
+    return _parse_characters(text, DNA_ALPHABET, _IUPAC)

@@ -120,6 +120,22 @@ class TestFasta:
         err = capsys.readouterr().err
         assert "record 'r1', line 4: unknown IUPAC code 'X'" in err
 
+    @pytest.mark.parametrize("contents, message", [
+        # blank and blank-looking lines count, an indented '>' opens a
+        # record, and a form feed ends a line as str.splitlines reads it
+        (">r1\nACGT\n\nAC GT\n  >r2 desc\n \nACGT\fACXT\n>r3\nACGT\n",
+         "record 'r2', line 8: unknown IUPAC code 'X' at position 7"),
+        # a '>' inside a sequence line is a character of the sequence
+        (">r1\nACGT\nA>CG\n>r2\nACGT\n",
+         "record 'r1', line 3: unknown IUPAC code '>' at position 6"),
+    ])
+    def test_parse_error_line_counts_every_line(self, tmp_path, capsys, contents, message):
+        f = tmp_path / "f.fa"
+        f.write_text(contents)
+        assert main(["-p", "ACG", "--pattern-syntax", "iupac", "--text-syntax", "iupac",
+                     "--text-file", str(f)]) == 2
+        assert capsys.readouterr().err == f"degmatch: {message}\n"
+
     def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
         # a file saved with a UTF-8 byte-order mark reads as the same file
         # without one: the mark is neither a symbol nor hides a header's '>'

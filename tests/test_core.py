@@ -1,16 +1,20 @@
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from degmatch import (
+    DNA_ALPHABET,
+    IUPAC_CODES,
     Alphabet,
     DegenerateString,
     DegenerateSymbol,
     EmptyBracket,
     OutOfRange,
+    ParseError,
     UnclosedBracket,
     UnknownCharacter,
     UnknownCode,
@@ -352,3 +356,130 @@ class TestProperties:
         s = parse_bracket("[abcd]", abcd)
         assert s.non_solid_positions == (1,)
         assert len(s.symbol_at(1)) == 4
+
+
+# Every IUPAC code in both cases, then bracket metacharacters, blanks and
+# control bytes, which some or all of the syntaxes reject.
+POOL = [c for code in sorted(IUPAC_CODES) for c in (code, code.lower())]
+POOL += ["x", "[", ",", " ", "\t", "\x00", "\x7f"]
+PRINTABLE_90 = Alphabet([c for c in map(chr, range(0x21, 0x7F)) if c not in "[],"][:90])
+SOLID_ALPHABETS = [DNA_ALPHABET, Alphabet("aA"), Alphabet("a"), PRINTABLE_90]
+
+
+def _reference(text, alphabet, symbol_of, what, error):
+    """The string of ``text`` built one symbol per character, or the
+    (class, message, position) of its first invalid character."""
+    symbols = []
+    for p, c in enumerate(text, 1):
+        symbol = symbol_of(c)
+        if symbol is None:
+            return error, f"{what} {c!r} at position {p}", p
+        symbols.append(symbol)
+    return DegenerateString(alphabet, symbols)
+
+
+def _iupac_reference(text):
+    def symbol_of(c):
+        members = IUPAC_CODES.get(c.upper())
+        return None if members is None else DegenerateSymbol.of(DNA_ALPHABET, members)
+
+    return _reference(text, DNA_ALPHABET, symbol_of, "unknown IUPAC code", UnknownCode)
+
+
+def _solid_reference(text, alphabet):
+    def symbol_of(c):
+        folded = alphabet.fold(c)
+        return None if folded is None else DegenerateSymbol.solid(alphabet, folded)
+
+    return _reference(text, alphabet, symbol_of, "unknown character", UnknownCharacter)
+
+
+def _bracket_reference(text, alphabet):
+    """Bracket text read one character at a time, as ``_reference`` gives it."""
+
+    def unknown(p):
+        return UnknownCharacter, f"unknown character {text[p]!r} at position {p + 1}", p + 1
+
+    symbols, i = [], 0
+    while i < len(text):
+        start, members = i + 1, [text[i]]
+        if text[i] == "[":
+            members, i = [], i + 1
+            while i < len(text) and text[i] != "]":
+                if not (text[i].isspace() or text[i] == ","):
+                    if alphabet.fold(text[i]) is None:
+                        return unknown(i)
+                    members.append(text[i])
+                i += 1
+            if i == len(text):
+                return UnclosedBracket, f"bracket opened at position {start} is never closed", start
+            if not members:
+                return EmptyBracket, f"empty bracket group at position {start}", start
+        elif alphabet.fold(text[i]) is None:
+            return unknown(i)
+        symbols.append(DegenerateSymbol.of(alphabet, [alphabet.fold(c) for c in members]))
+        i += 1
+    return DegenerateString(alphabet, symbols)
+
+
+def _assert_parses_like(parse, text, expected):
+    """``parse(text)`` equals ``expected``, a string with int32 read-only
+    ranks, or raises the error class, message and position it names."""
+    if isinstance(expected, DegenerateString):
+        got = parse(text)
+        assert got == expected
+        assert got.ranks.dtype == np.int32 and not got.ranks.flags.writeable
+    else:
+        error, message, position = expected
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message and exc.value.position == position
+
+
+class TestParserEquivalence:
+    """The parsers equal a reference that reads one character at a time."""
+
+    @given(st.text(st.sampled_from(POOL), max_size=40))
+    @example("")
+    @example("ACGTNRx")
+    @example("acgtnr\x7f")
+    def test_iupac_and_solid(self, text):
+        _assert_parses_like(parse_iupac, text, _iupac_reference(text))
+        for alphabet in SOLID_ALPHABETS:
+            expected = _solid_reference(text, alphabet)
+            _assert_parses_like(lambda t: parse_solid(t, alphabet), text, expected)
+
+    @given(st.text(st.sampled_from(POOL + ["]"] * 3 + ["[", "["]), max_size=40))
+    @example("")
+    @example("A[CG]T]")
+    @example("a,c")
+    @example("[ag]c[t, a]x")
+    @example("[a c]g[")
+    @example("AC]G")
+    @example("ACGTACGT[")
+    @example("[AC]x[]")
+    @example("[A!")
+    def test_bracket(self, text):
+        for alphabet in SOLID_ALPHABETS:
+            expected = _bracket_reference(text, alphabet)
+            _assert_parses_like(lambda t: parse_bracket(t, alphabet), text, expected)
+
+
+@pytest.mark.parametrize("n_share, bound", [(0.0, 6), (0.02, 7)])
+def test_parse_iupac_peak_per_character(n_share, bound):
+    # the bytes, their translation and the int32 ranks, with one more
+    # byte per character while the codes of the sets are compacted
+    n = 1 << 20
+    rng = np.random.default_rng(23)
+    bases = rng.choice(np.frombuffer(b"ACGT", dtype=np.uint8), n)
+    bases[rng.random(n) < n_share] = ord("N")
+    text = bases.tobytes().decode("ascii")
+    assert bool(parse_iupac(text).sets) == (n_share > 0)
+    tracemalloc.start()
+    try:
+        parse_iupac(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * n
