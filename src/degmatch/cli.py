@@ -7,7 +7,6 @@ the brute-force reference.
 
 import argparse
 import json
-import re
 import sys
 from itertools import chain
 
@@ -33,69 +32,45 @@ class EmptyFile(FastaError):
     pass
 
 
-# The line boundaries of ``str.splitlines``; "\r\n" is one.
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_END = re.compile("\r\n|[" + _BREAKS + "]")
-
-
-def _next_header(contents: str, start: int) -> int:
-    """Index of the first '>' at or after ``start``, a line start, that is
-    the first non-whitespace character of its line; -1 if there is none."""
-    p = contents.find(">", start)
-    while p >= 0:
-        q = p - 1
-        while q >= start and contents[q] not in _BREAKS and contents[q].isspace():
-            q -= 1
-        if q < start or contents[q] in _BREAKS:
-            return p
-        p = contents.find(">", p + 1)
-    return -1
-
-
 def _split_fasta(contents: str):
-    """FASTA records as (id, start, end): the record's sequence is
-    ``contents[start:end]`` with its whitespace removed. ``contents``
-    starts, after blank space, with a '>' header. Headers are found with
-    ``str.find``, so no Python code runs per sequence line."""
+    """FASTA records as (id, [(line number, chunk)]) with whitespace
+    stripped; ``contents`` starts, after blank space, with a '>' header."""
     records = []
-    header = _next_header(contents, 0)
-    while header >= 0:
-        line_end = _LINE_END.search(contents, header)
-        start = line_end.end() if line_end else len(contents)
-        title = contents[header + 1 : line_end.start() if line_end else start].strip()
-        header = _next_header(contents, start)
-        end = header if header >= 0 else len(contents)
-        records.append((title.split()[0] if title else "", start, end))
+    current = None
+    for line_no, line in enumerate(contents.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith(">"):
+            header = stripped[1:].strip()
+            rid = header.split()[0] if header else ""
+            current = (rid, [])
+            records.append(current)
+        else:
+            current[1].append((line_no, "".join(stripped.split())))
     return records
 
 
-def _line_of(contents: str, start: int, end: int, position: int | None) -> int:
-    """Line number, as ``contents.splitlines`` counts, of the
-    ``position``-th non-whitespace character of ``contents[start:end]``
-    (``start`` a line start); the first line holding one when ``position``
-    is None, and 0 when there is none. Only a failed parse calls this."""
-    first = consumed = 0
-    lines = contents[start:end].splitlines()
-    for line_no, line in enumerate(lines, len(contents[:start].splitlines()) + 1):
-        size = len("".join(line.split()))
-        if size:
-            first = first or line_no
-            consumed += size
-            if position is not None and position <= consumed:
+def _line_of(chunks, position: int | None) -> int:
+    if chunks and position is not None:
+        consumed = 0
+        for line_no, chunk in chunks:
+            consumed += len(chunk)
+            if position <= consumed:
                 return line_no
-    return first
+    return chunks[0][0] if chunks else 0
 
 
-def _parse_record(rid, contents: str, start: int, end: int, parse) -> DegenerateString:
-    """Parse the sequence of one record, ``contents[start:end]`` joined in
-    one call; a failure in a named record is re-raised with the record id
-    and source line attached."""
+def _parse_record(rid, chunks, parse) -> DegenerateString:
+    """Parse the concatenated ``chunks`` of one record; a failure in a named
+    record is re-raised with the record id and source line attached."""
+    raw = "".join(chunk for _, chunk in chunks)
     try:
-        return parse("".join(contents[start:end].split()))
+        return parse(raw)
     except ParseError as err:
         if rid is None:
             raise
-        line = _line_of(contents, start, end, err.position)
+        line = _line_of(chunks, err.position)
         raise type(err)(f"record {rid!r}, line {line}: {err}", err.position) from err
 
 
@@ -106,25 +81,18 @@ def _read(path: str) -> str:
 
 
 def _collect_chars(raw: str, syntax: str) -> set:
-    """Distinct non-whitespace characters of ``raw``; ASCII text tests its
-    bytes for each of the 128 values, one ``memchr`` each, with no Python
-    work per character."""
-    if raw.isascii():
-        data = raw.encode("ascii")
-        chars = {chr(b) for b in range(128) if b in data}
-    else:
-        chars = set(raw)
+    chars = set(raw)
     if syntax == "bracket":
         chars -= _FORBIDDEN
-    return {c for c in chars if not c.isspace()}
+    return chars
 
 
-def _infer_alphabet(pattern_raw: str, pattern_syntax: str, contents: str, records,
-                    text_syntax: str) -> Alphabet:
+def _infer_alphabet(pattern_raw: str, pattern_syntax: str, records, text_syntax: str) -> Alphabet:
     """Lowercase union of every character appearing in the inputs."""
     chars = _collect_chars(pattern_raw, pattern_syntax)
-    for _, start, end in records:
-        chars |= _collect_chars(contents[start:end], text_syntax)
+    for _, chunks in records:
+        for _, chunk in chunks:
+            chars |= _collect_chars(chunk, text_syntax)
     folded = sorted({c.lower() for c in chars})
     if not folded:
         raise ParseError("cannot infer an alphabet from empty input")
@@ -139,22 +107,21 @@ def _make_parser(syntax: str, alphabet: Alphabet):
     return lambda raw: parse_solid(raw, alphabet)
 
 
-def _load_text_records(args: argparse.Namespace, stdin) -> tuple[str, list]:
-    """The text source named in ``args`` and its records as (id, start,
-    end), as ``_split_fasta`` gives them; a plain source is one anonymous
-    record with id None, and its text is joined here. FASTA framing is
-    detected by a leading '>'. Records are joined and parsed one at a
-    time by ``_parse_record``."""
+def _load_text_records(args: argparse.Namespace, stdin) -> list[tuple[str | None, list]]:
+    """Raw records of the text source named in ``args`` as
+    (id, [(line number, chunk)]); one anonymous record with id None and no
+    line number for a plain source. FASTA framing is detected by a leading
+    '>'. Records are joined and parsed one at a time by ``_parse_record``."""
     if args.text is not None:
         contents = args.text
     else:
         contents = _read(args.text_file) if args.text_file is not None else stdin.read()
         if contents.lstrip().startswith(">"):
-            return contents, _split_fasta(contents)
+            return _split_fasta(contents)
     joined = "".join(contents.split())
     if not joined:
         raise EmptyFile("text input is empty")
-    return joined, [(None, 0, len(joined))]
+    return [(None, [(None, joined)])]
 
 
 def _emit(record_id, report, pattern_length, fmt, diagnostics, out) -> None:
@@ -216,23 +183,21 @@ def run(argv=None, out=None, err=None, stdin=None) -> int:
 
     source = args.pattern if args.pattern is not None else _read(args.pattern_file)
     pattern_raw = "".join(source.split())  # whitespace is insignificant, as in the text
-    contents, records = _load_text_records(args, stdin)
+    records = _load_text_records(args, stdin)
 
     if args.pattern_syntax == "iupac" or args.text_syntax == "iupac":
         alphabet = DNA_ALPHABET
     else:
-        alphabet = _infer_alphabet(
-            pattern_raw, args.pattern_syntax, contents, records, args.text_syntax
-        )
+        alphabet = _infer_alphabet(pattern_raw, args.pattern_syntax, records, args.text_syntax)
 
     pattern = _make_parser(args.pattern_syntax, alphabet)(pattern_raw)
     parse_text = _make_parser(args.text_syntax, alphabet)
 
     found = False
-    for rid, start, end in records:
-        text = _parse_record(rid, contents, start, end, parse_text)
-        if not text:
+    for rid, chunks in records:
+        if not chunks:
             err.write(f"degmatch: warning: record {rid!r} has an empty sequence\n")
+        text = _parse_record(rid, chunks, parse_text)
         report = find_occurrences(pattern, text, diagnostics=args.diagnostics)
         if args.self_check:
             expected = naive_match(pattern, text)

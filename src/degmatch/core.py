@@ -15,9 +15,7 @@ ranks in one translate and a few more C-level passes, and the rule runs
 once per table, not once per distinct character of each text.
 """
 
-import bisect
 import functools
-import itertools
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -382,55 +380,40 @@ def parse_bracket(text: str, alphabet: Alphabet) -> DegenerateString:
     A bare character is a solid symbol; ``[xyz]`` is a set. Whitespace and
     commas inside a group are skipped, duplicate members collapse, and a
     singleton group normalizes to a solid symbol.
-
-    ``str.find`` finds the groups, whose members are read one at a time.
-    The bare runs between them are joined and parsed in one call, as
-    ``parse_solid`` text; the groups' ranks are then inserted among theirs.
-    The first error in text order is raised: a bare one before the first
-    failing group, else that group's.
     """
-    syntax = _solid_syntax(alphabet)
-    runs, groups, failure = [], [], None
-    i = 0
-    while (j := text.find("[", i)) >= 0:
-        runs.append((i, j))
-        k = text.find("]", j)
-        mask = 0
-        for p in range(j + 1, k if k >= 0 else len(text)):
-            m = text[p]
-            if m.isspace() or m == ",":
-                continue
-            member = syntax.mask_of(m)
-            if member is None:
-                failure = _invalid(syntax, text, p)
-                break
-            mask |= member
+    masks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "[":
+            start = i + 1  # 1-based position of '['
+            mask = 0
+            i += 1
+            while i < n and text[i] != "]":
+                m = text[i]
+                if m.isspace() or m == ",":
+                    i += 1
+                    continue
+                folded = alphabet.fold(m)
+                if folded is None:
+                    raise UnknownCharacter(
+                        f"unknown character {m!r} at position {i + 1}", i + 1
+                    )
+                mask |= 1 << alphabet.rank(folded)
+                i += 1
+            if i >= n:
+                raise UnclosedBracket(f"bracket opened at position {start} is never closed", start)
+            if mask == 0:
+                raise EmptyBracket(f"empty bracket group at position {start}", start)
+            masks.append(mask)
+            i += 1
         else:
-            if k < 0:
-                failure = UnclosedBracket(f"bracket opened at position {j + 1} is never closed",
-                                          j + 1)
-            elif mask == 0:
-                failure = EmptyBracket(f"empty bracket group at position {j + 1}", j + 1)
-        if failure is not None:
-            break
-        groups.append(mask)
-        i = k + 1
-    else:
-        runs.append((i, len(text)))
-    before = list(itertools.accumulate((j - i for i, j in runs), initial=0))
-    try:
-        bare = _parse_characters("".join(text[i:j] for i, j in runs), alphabet, syntax)
-    except UnknownCharacter as err:
-        r = bisect.bisect_right(before, err.position - 1) - 1
-        raise _invalid(syntax, text, runs[r][0] + err.position - 1 - before[r]) from None
-    if failure is not None:
-        raise failure
-    if not groups:
-        return bare
-    sets = sorted({mk for mk in groups if mk.bit_count() > 1})
-    rank = {mk: r for r, mk in enumerate(sets, len(alphabet))}
-    codes = [rank.get(mk, mk.bit_length() - 1) for mk in groups]
-    return _string(alphabet, np.insert(bare.ranks, before[1:-1], codes), sets)
+            folded = alphabet.fold(c)
+            if folded is None:
+                raise UnknownCharacter(f"unknown character {c!r} at position {i + 1}", i + 1)
+            masks.append(1 << alphabet.rank(folded))
+            i += 1
+    return _pack(alphabet, masks, np.arange(len(masks)))
 
 
 def parse_solid(text: str, alphabet: Alphabet) -> DegenerateString:
